@@ -13,8 +13,8 @@ cycle-wheel scheduler per clock domain replaces per-cycle polling with
 timestamped wakeups, bit-identical to the dense reference loop kept
 behind ``REPRO_DENSE_LOOP=1``.
 
-The parallel sweep runner (:mod:`repro.runner`) keeps one session per
-distinct system configuration per worker process.
+The runner's worker (:mod:`repro.runner.worker`) keeps one session
+per distinct system configuration per worker process.
 """
 
 from repro.sim.session import SimulationSession

@@ -31,17 +31,12 @@ The session adds three things the monolithic loop could not offer:
   per-cycle ``can_skip()`` idle-skip is unchanged from when it was the
   only loop.
 
-Orthogonally to the loop choice, ``REPRO_BACKEND`` selects the
-execution backend: ``vector`` (default where numpy is available)
-precomputes the event-filter decisions and the accelerator pre-checks
-per trace chunk (:mod:`repro.core.vector`), and the event loop batches
-provable core-stall windows through the clock's stride fast-forward;
-``scalar`` is the record-at-a-time reference; ``compiled`` is vector
-plus the C-compiled hotpath kernels (:mod:`repro.hotpath`) for the
-µcore ISS tick and the OoO core step, degrading to the bit-identical
-interpreted kernels when no build artifact exists.  All produce
-bit-identical :class:`SystemResult`\\ s (the four-way differential
-grid in ``tests/test_vector_identity.py``).
+Both loops execute records one at a time through the flat
+:mod:`repro.hotpath` kernels (the µcore ISS tick and the OoO core
+step), and the event loop batches provable core-stall windows through
+the clock's stride fast-forward.  The dense and event loops produce
+bit-identical :class:`SystemResult`\\ s (the differential grid in
+``tests/test_loop_identity.py``).
 
 ``REPRO_PROFILE=1`` additionally wraps the per-component step methods
 with wall-clock accounting; the accumulated per-component seconds
@@ -58,12 +53,6 @@ from repro.clock.domain import DualDomainClock
 from repro.errors import SimulationError
 from repro.sched import EventScheduler
 from repro.trace.record import Trace
-from repro.utils.npcompat import (
-    BACKEND_COMPILED,
-    BACKEND_VECTOR,
-    HAVE_NUMPY,
-    resolve_backend,
-)
 from repro.utils.stats import Instrumented
 
 #: Environment variable enabling the per-component wall-time profile.
@@ -92,11 +81,6 @@ class SimulationSession(Instrumented):
     everywhere else — so no configuration is slower than the dense
     reference.  The loops are bit-identical, so the choice is
     invisible in results.
-    ``backend`` selects the execution backend (``"vector"``,
-    ``"scalar"`` or ``"compiled"``); None reads ``REPRO_BACKEND``,
-    defaulting to vector
-    when numpy is importable and falling back to scalar (with a
-    one-time warning if vector was explicitly requested) otherwise.
     A system should be driven by one session (the canonical path is
     :meth:`FireGuardSystem.session`): the event scheduler wires wakeup
     hooks into the system's queues, and the last session wired wins.
@@ -113,8 +97,7 @@ class SimulationSession(Instrumented):
     _NEVER = 1 << 62
 
     def __init__(self, system: "FireGuardSystem",
-                 dense: bool | None = None,
-                 backend: str | None = None):
+                 dense: bool | None = None):
         self.system = system
         env = os.environ.get("REPRO_DENSE_LOOP")
         if dense is None:
@@ -126,11 +109,6 @@ class SimulationSession(Instrumented):
         else:
             self._adaptive = False
         self.dense = dense
-        self.backend = resolve_backend(backend)
-        #: True once a run executed with the C-compiled hotpath
-        #: kernels live (``backend == "compiled"`` and an artifact was
-        #: importable); stays False on the interpreted fallback.
-        self.hotpath_compiled = False
         #: Per-component wall-clock seconds, populated only under
         #: ``REPRO_PROFILE=1`` (see :meth:`stats`).
         self.profile: dict[str, float] = {}
@@ -342,13 +320,6 @@ class SimulationSession(Instrumented):
                                       stall_backpressure=0)
         system.core.begin(trace, record_commit_times=True)
         system.core.attach_observer(system.filter)
-        if self.backend == BACKEND_VECTOR \
-                or (self.backend == BACKEND_COMPILED and HAVE_NUMPY):
-            from repro.core.vector import install_plans
-            install_plans(system, trace)
-        if self.backend == BACKEND_COMPILED:
-            from repro.hotpath import install_hotpath
-            self.hotpath_compiled = install_hotpath(system)
         clock = DualDomainClock(system.config.high_domain(),
                                 system.config.low_domain())
 

@@ -291,6 +291,17 @@ def _inject_uaf(trace: Trace, count: int, min_seq: int,
     last_load_seq = records[loads[-1]].seq if loads else -1
     freed = [o for o in freed if o.free_seq + 1100 <= last_load_seq]
     if not freed:
+        # The workload freed enough objects, but all of them too late
+        # to age: the generator frees only once its live set passes
+        # eight objects, which can put every free near the end of a
+        # short phase.  Plant frees with room to age instead.
+        _synthesize_frees(trace, count, min_seq)
+        freed = sorted((o for o in trace.objects
+                        if o.free_seq is not None
+                        and o.free_seq >= min_seq
+                        and o.free_seq + 1100 <= last_load_seq),
+                       key=lambda o: o.free_seq)
+    if not freed:
         raise TraceError(
             "every freed object sits too close to the trace end for "
             "its quarantine to age; increase the trace length")

@@ -4,7 +4,7 @@ Traces are deterministic given (profile, seed, length), but attack
 injection mutates them and experiments may want to archive the exact
 workload a result came from.  The format is a compact fixed-width
 binary: a JSON header (name, seed, regions, heap objects) followed by
-one 44-byte little-endian record per instruction.
+one 50-byte little-endian record per instruction.
 
 The format primitives live in :mod:`repro.trace.stream`, which also
 provides chunked bounded-memory access to the same files

@@ -39,7 +39,6 @@ from typing import IO, Iterable, Iterator
 from repro.errors import TraceError
 from repro.isa.opcodes import InstrClass
 from repro.trace.record import HeapObject, InstrRecord, Trace
-from repro.utils.npcompat import HAVE_NUMPY
 
 MAGIC = b"FGTRACE1"
 # pc, word, opcode, funct3, iclass, dst, nsrcs, srcs[2], mem_addr,
@@ -53,7 +52,7 @@ _INDEX_BY_CLASS = {c: i for i, c in enumerate(_CLASS_BY_INDEX)}
 #: Sentinel encoding for ``mem_addr is None`` (no memory access).
 NO_ADDR = (1 << 64) - 1
 
-#: Records per chunk: 4096 × 44 B ≈ 180 KB of file bytes resident.
+#: Records per chunk: 4096 × 50 B ≈ 200 KB of file bytes resident.
 DEFAULT_CHUNK_RECORDS = 4096
 
 _COPY_BYTES = 1 << 20
@@ -71,22 +70,6 @@ def pack_record(rec: InstrRecord) -> bytes:
         rec.mem_size, 1 if rec.taken else 0, rec.target,
         rec.result,
         -1 if rec.attack_id is None else rec.attack_id)
-
-
-def unpack_record(blob: bytes, seq: int) -> InstrRecord:
-    """Decode one fixed-width record (inverse of :func:`pack_record`)."""
-    (pc, word, opcode, funct3, class_idx, dst, nsrcs, s0, s1,
-     mem_addr, mem_size, taken, target, result,
-     attack_id) = RECORD_STRUCT.unpack(blob)
-    return InstrRecord(
-        seq=seq, pc=pc, word=word, opcode=opcode, funct3=funct3,
-        iclass=_CLASS_BY_INDEX[class_idx],
-        dst=None if dst < 0 else dst,
-        srcs=(s0, s1)[:nsrcs],
-        mem_addr=None if mem_addr == NO_ADDR else mem_addr,
-        mem_size=mem_size, taken=bool(taken), target=target,
-        result=result,
-        attack_id=None if attack_id < 0 else attack_id)
 
 
 @dataclass
@@ -288,25 +271,8 @@ class TraceReader:
         return self.meta.count
 
     def __iter__(self) -> Iterator[list[InstrRecord]]:
-        for blob, seq in self._iter_chunk_bytes():
-            yield self._decode_chunk(blob, seq)
-
-    def iter_columns(self, chunk_records: int | None = None):
-        """A fresh pass yielding
-        :class:`~repro.trace.columns.RecordColumns` per chunk — the
-        batch-decoded structure-of-arrays view the vectorized backend
-        consumes.  Requires numpy."""
-        from repro.trace.columns import RecordColumns
-
-        for blob, seq in self._iter_chunk_bytes(chunk_records):
-            yield RecordColumns.from_bytes(blob, seq)
-
-    def _iter_chunk_bytes(self, chunk_records: int | None = None,
-                          ) -> Iterator[tuple[bytes, int]]:
-        """Raw packed chunks with truncation diagnostics: yields
-        ``(bytes, start_seq)`` per chunk."""
         count = self.meta.count
-        per_chunk = chunk_records or self.chunk_records
+        per_chunk = self.chunk_records
         with open(self.path, "rb") as fh:
             fh.seek(self._data_offset)
             seq = 0
@@ -321,40 +287,39 @@ class TraceReader:
                         f"{self.path}: truncated at record {bad} of "
                         f"{count} (file offset {offset}: expected "
                         f"{RECORD_BYTES} bytes, found {found})")
-                yield blob, seq
+                yield self._decode_chunk(blob, seq)
                 seq += want
 
     def _decode_chunk(self, blob: bytes, seq: int) -> list[InstrRecord]:
-        """Materialise one chunk: columnar bulk decode when numpy is
-        available, per-record ``struct.unpack`` otherwise.  Both paths
-        produce field-identical records and the same corruption
-        diagnostics (index + absolute file offset)."""
-        count = self.meta.count
-        if HAVE_NUMPY:
-            from repro.trace.columns import RecordColumns
-
-            columns = RecordColumns.from_bytes(blob, seq)
-            bad = columns.first_bad_class_index()
-            if bad >= 0:
-                offset = self._data_offset + (seq + bad) * RECORD_BYTES
-                code = int(columns.iclass_code[bad])
-                raise TraceError(
-                    f"{self.path}: corrupt record {seq + bad} of "
-                    f"{count} (file offset {offset}): instruction "
-                    f"class code {code} out of range")
-            return columns.to_records()
-        chunk = []
-        for i in range(len(blob) // RECORD_BYTES):
-            try:
-                chunk.append(unpack_record(
-                    blob[i * RECORD_BYTES:(i + 1) * RECORD_BYTES],
-                    seq + i))
-            except (struct.error, IndexError) as exc:
-                offset = self._data_offset + (seq + i) * RECORD_BYTES
-                raise TraceError(
-                    f"{self.path}: corrupt record {seq + i} of "
-                    f"{count} (file offset {offset}): {exc}"
-                ) from exc
+        """Materialise one chunk (the inverse of :func:`pack_record`).
+        A corrupt instruction-class byte raises :class:`TraceError`
+        naming the record index, its absolute file offset and the bad
+        code."""
+        by_index = _CLASS_BY_INDEX
+        chunk: list[InstrRecord] = []
+        append = chunk.append
+        try:
+            for index, (pc, word, opcode, funct3, class_idx, dst, nsrcs,
+                        s0, s1, mem_addr, mem_size, taken, target, result,
+                        attack_id) in enumerate(
+                            RECORD_STRUCT.iter_unpack(blob), seq):
+                append(InstrRecord(
+                    seq=index, pc=pc, word=word,
+                    opcode=opcode, funct3=funct3,
+                    iclass=by_index[class_idx],
+                    dst=None if dst < 0 else dst,
+                    srcs=(s0, s1)[:nsrcs],
+                    mem_addr=None if mem_addr == NO_ADDR else mem_addr,
+                    mem_size=mem_size, taken=bool(taken),
+                    target=target, result=result,
+                    attack_id=None if attack_id < 0 else attack_id))
+        except IndexError:
+            offset = self._data_offset + index * RECORD_BYTES
+            raise TraceError(
+                f"{self.path}: corrupt record {index} of "
+                f"{self.meta.count} (file offset {offset}): "
+                f"instruction class code {class_idx} out of range"
+            ) from None
         return chunk
 
     def records(self) -> Iterator[InstrRecord]:
@@ -444,12 +409,6 @@ class StreamedTrace:
 
     def iter_records(self) -> Iterator[InstrRecord]:
         return self._reader.records()
-
-    def iter_columns(self, chunk_records: int | None = None):
-        """A fresh bounded-memory pass yielding
-        :class:`~repro.trace.columns.RecordColumns` per chunk (the
-        columnar face of the trace-source protocol)."""
-        return self._reader.iter_columns(chunk_records)
 
     def record_view(self) -> _SequentialRecords:
         return _SequentialRecords(self._reader)

@@ -22,8 +22,7 @@ The per-cycle interpreter itself lives in
 :mod:`repro.hotpath.ucore_kernel` (DESIGN.md: hotpath layer): this
 class owns the engine's flat state arrays, decodes the program once
 through the digest-keyed cache in :mod:`repro.hotpath.decode`, and
-delegates :meth:`tick` to the active kernel variant — interpreted by
-default, the C-compiled build under ``REPRO_BACKEND=compiled``.
+delegates :meth:`tick` to :func:`~repro.hotpath.ucore_kernel.ucore_tick`.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from repro.core.isax import IsaxInterface, IsaxStyle
 from repro.core.msgqueue import QueueController
 from repro.errors import SimulationError
 from repro.hotpath import ucore_kernel as _uk
+from repro.hotpath.ucore_kernel import ucore_tick
 from repro.hotpath.decode import decode_ucore_program
 from repro.mem.cache import CacheParams, SetAssocCache
 from repro.mem.sparse import SparseMemory
@@ -144,17 +144,6 @@ class MicroCore(Instrumented):
         st[_uk.PROG_LEN] = len(program)
         st[_uk.L2_LAT] = config.ucore_l2_latency
         self._st = st
-        self._kernel = _uk
-        self._tick = _uk.ucore_tick
-
-    # -- kernel selection --------------------------------------------------
-    def set_kernel(self, kernel) -> None:
-        """Select the hotpath kernel module driving :meth:`tick` —
-        the interpreted :mod:`repro.hotpath.ucore_kernel` (default) or
-        its compiled build (``repro.hotpath.install_hotpath``).  Both
-        read the same flat state, so switching is always safe."""
-        self._kernel = kernel
-        self._tick = kernel.ucore_tick
 
     # -- state views (flat slots behind the classic attribute surface) ----
     @property
@@ -329,7 +318,7 @@ class MicroCore(Instrumented):
     # -- execution ---------------------------------------------------------
     def tick(self, low_cycle: int) -> None:
         """Advance at most one instruction at this low-domain cycle."""
-        self._tick(self, self._st, self.regs, self._prog, low_cycle)
+        ucore_tick(self, self._st, self.regs, self._prog, low_cycle)
 
     def config_engines(self) -> range:
         return range(self.config.num_engines)

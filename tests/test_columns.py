@@ -1,14 +1,18 @@
-"""Property tests for the columnar FGTRACE1 codec.
+"""Property tests for the FGTRACE1 record columns.
 
-The vector backend trusts :mod:`repro.trace.columns` to be a
-bit-identical second implementation of the scalar record codec in
-:mod:`repro.trace.stream`.  These tests pin that equivalence with
-hypothesis: arbitrary in-range records must survive
-records → columns → bytes → columns → records unchanged, the packed
-bytes must equal ``pack_record`` applied per row, and every sentinel
-encoding (``mem_addr`` ``NO_ADDR``, ``attack_id``/``dst`` ``-1``,
-``srcs`` truncation) must round-trip through both codecs identically.
+Every record is one fixed-width ``RECORD_STRUCT`` row; these tests pin
+its per-field encodings through the writer and the chunked reader:
+arbitrary in-range records must survive records → file → records
+unchanged whatever the chunk size, the file body must equal
+``pack_record`` applied per row, every sentinel encoding
+(``mem_addr`` ``NO_ADDR``, ``attack_id``/``dst`` ``-1``, ``srcs``
+truncation) must round-trip, and corrupt rows must be named by their
+absolute record index.
 """
+
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,22 +24,12 @@ from repro.trace.record import InstrRecord
 from repro.trace.stream import (
     NO_ADDR,
     RECORD_BYTES,
+    RECORD_STRUCT,
+    TraceReader,
+    TraceWriter,
     pack_record,
-    unpack_record,
+    parse_header,
 )
-from repro.utils.npcompat import HAVE_NUMPY
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="columnar codec requires numpy")
-
-if HAVE_NUMPY:
-    from repro.trace.columns import (
-        CLASS_BY_INDEX,
-        NUM_CLASSES,
-        RECORD_DTYPE,
-        RecordColumns,
-        iter_trace_columns,
-    )
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 U32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -67,11 +61,31 @@ records_strategy = st.builds(
 
 record_lists = st.lists(records_strategy, max_size=40)
 
+# Byte offset of the instruction-class code inside one packed row
+# (after pc, word, opcode and funct3).
+ICLASS_OFFSET = struct.calcsize("<QIBB")
 
-def assert_records_equal(decoded, originals, start_seq=0):
+
+def write_records(path, records) -> int:
+    """Write ``records`` as an FGTRACE1 file; returns the data offset."""
+    with TraceWriter(path, "columns", seed=0) as writer:
+        writer.extend(records)
+        writer.finalize()
+    with open(path, "rb") as fh:
+        return parse_header(fh, path)[1]
+
+
+def decode(records, chunk_records=4096) -> list[InstrRecord]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.fgt"
+        write_records(path, records)
+        return TraceReader(path, chunk_records=chunk_records).load().records
+
+
+def assert_records_equal(decoded, originals):
     assert len(decoded) == len(originals)
     for index, (got, want) in enumerate(zip(decoded, originals)):
-        assert got.seq == start_seq + index
+        assert got.seq == index
         for field in ("pc", "word", "opcode", "funct3", "iclass",
                       "dst", "srcs", "mem_addr", "mem_size", "taken",
                       "target", "result", "attack_id"):
@@ -81,55 +95,66 @@ def assert_records_equal(decoded, originals, start_seq=0):
 
 class TestLayout:
     def test_dtype_matches_scalar_record_size(self):
-        assert RECORD_DTYPE.itemsize == RECORD_BYTES
+        assert RECORD_BYTES == RECORD_STRUCT.size == 50
 
     def test_dtype_has_no_padding(self):
-        total = sum(RECORD_DTYPE[name].itemsize
-                    for name in RECORD_DTYPE.names)
-        assert total == RECORD_DTYPE.itemsize
+        fields = RECORD_STRUCT.format.lstrip("<")
+        total = sum(struct.calcsize("<" + code) for code in fields)
+        assert total == RECORD_BYTES
 
     def test_class_table_matches_enum(self):
-        assert CLASS_BY_INDEX == tuple(InstrClass)
-        assert NUM_CLASSES == len(InstrClass)
+        # The class code is the enum position, and every code decodes
+        # back to its class.
+        records = [InstrRecord(seq=i, pc=i, word=0, opcode=0, funct3=0,
+                               iclass=cls)
+                   for i, cls in enumerate(InstrClass)]
+        for index, rec in enumerate(records):
+            assert pack_record(rec)[ICLASS_OFFSET] == index
+        assert [rec.iclass for rec in decode(records)] == list(InstrClass)
 
 
 class TestRoundTrip:
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(record_lists)
     def test_records_to_columns_and_back(self, records):
-        cols = RecordColumns.from_records(records)
-        assert len(cols) == len(records)
-        assert_records_equal(cols.to_records(), records)
+        assert_records_equal(decode(records), records)
 
-    @settings(max_examples=200)
+    @settings(max_examples=100, deadline=None)
     @given(record_lists)
     def test_to_bytes_matches_scalar_encoder(self, records):
-        cols = RecordColumns.from_records(records)
-        assert cols.to_bytes() == b"".join(
-            pack_record(rec) for rec in records)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.fgt"
+            data_offset = write_records(path, records)
+            body = path.read_bytes()[data_offset:]
+        assert body == b"".join(pack_record(rec) for rec in records)
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(record_lists)
     def test_from_bytes_matches_scalar_decoder(self, records):
-        blob = b"".join(pack_record(rec) for rec in records)
-        cols = RecordColumns.from_bytes(blob)
-        scalar = [unpack_record(blob[i * RECORD_BYTES:
-                                     (i + 1) * RECORD_BYTES], i)
-                  for i in range(len(records))]
-        assert_records_equal(cols.to_records(), scalar)
+        # One record per chunk decodes exactly like one whole chunk.
+        assert_records_equal(decode(records, chunk_records=1),
+                             decode(records))
 
-    @settings(max_examples=50)
-    @given(record_lists, st.integers(min_value=0, max_value=1 << 40))
-    def test_start_seq_offsets_every_row(self, records, start_seq):
-        cols = RecordColumns.from_records(records, start_seq)
-        assert cols.start_seq == start_seq
-        assert_records_equal(cols.to_records(), records, start_seq)
+    @settings(max_examples=50, deadline=None)
+    @given(record_lists, st.integers(min_value=1, max_value=16))
+    def test_start_seq_offsets_every_row(self, records, chunk_records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.fgt"
+            write_records(path, records)
+            chunks = list(TraceReader(path, chunk_records=chunk_records))
+        starts = list(range(0, len(records), chunk_records))
+        assert [chunk[0].seq for chunk in chunks] == starts
+        assert_records_equal([rec for chunk in chunks for rec in chunk],
+                             records)
 
-    def test_empty_chunk(self):
-        cols = RecordColumns.from_records([])
-        assert len(cols) == 0
-        assert cols.to_records() == []
-        assert cols.to_bytes() == b""
+    def test_empty_chunk(self, tmp_path):
+        path = tmp_path / "t.fgt"
+        data_offset = write_records(path, [])
+        assert path.read_bytes()[data_offset:] == b""
+        reader = TraceReader(path)
+        assert len(reader) == 0
+        assert list(reader) == []
+        assert reader.load().records == []
 
 
 class TestSentinels:
@@ -142,73 +167,69 @@ class TestSentinels:
         fields.update(overrides)
         return InstrRecord(**fields)
 
-    def one_row(self, record):
-        return RecordColumns.from_records([record])
+    def row(self, record):
+        """The packed fields of ``record`` and its decoded copy."""
+        return (RECORD_STRUCT.unpack(pack_record(record)),
+                decode([record])[0])
 
     def test_no_addr_sentinel(self):
-        cols = self.one_row(self.base_record(mem_addr=None))
-        assert int(cols.mem_addr[0]) == NO_ADDR
-        assert cols.to_records()[0].mem_addr is None
+        fields, rec = self.row(self.base_record(mem_addr=None))
+        assert fields[9] == NO_ADDR
+        assert rec.mem_addr is None
         # The largest real address survives (off-by-one guard).
-        cols = self.one_row(self.base_record(mem_addr=NO_ADDR - 1))
-        assert cols.to_records()[0].mem_addr == NO_ADDR - 1
+        _, rec = self.row(self.base_record(mem_addr=NO_ADDR - 1))
+        assert rec.mem_addr == NO_ADDR - 1
 
     def test_attack_id_sentinel(self):
-        cols = self.one_row(self.base_record(attack_id=None))
-        assert int(cols.attack_id[0]) == -1
-        assert cols.to_records()[0].attack_id is None
-        cols = self.one_row(self.base_record(attack_id=0))
-        assert cols.to_records()[0].attack_id == 0
+        fields, rec = self.row(self.base_record(attack_id=None))
+        assert fields[14] == -1
+        assert rec.attack_id is None
+        _, rec = self.row(self.base_record(attack_id=0))
+        assert rec.attack_id == 0
 
     def test_dst_sentinel(self):
-        cols = self.one_row(self.base_record(dst=None))
-        assert int(cols.data["dst"][0]) == -1
-        assert cols.to_records()[0].dst is None
-        cols = self.one_row(self.base_record(dst=0))
-        assert cols.to_records()[0].dst == 0
+        fields, rec = self.row(self.base_record(dst=None))
+        assert fields[5] == -1
+        assert rec.dst is None
+        _, rec = self.row(self.base_record(dst=0))
+        assert rec.dst == 0
 
     def test_srcs_truncation(self):
         for srcs in ((), (7,), (7, 9)):
-            cols = self.one_row(self.base_record(srcs=srcs))
-            assert cols.to_records()[0].srcs == srcs
+            fields, rec = self.row(self.base_record(srcs=srcs))
+            assert fields[6] == len(srcs)
+            assert rec.srcs == srcs
 
 
 class TestCorruption:
-    def test_misaligned_buffer_rejected(self):
-        with pytest.raises(TraceError):
-            RecordColumns.from_bytes(b"\x00" * (RECORD_BYTES + 1))
+    def records(self, count):
+        return [InstrRecord(seq=i, pc=0x1000 + i, word=0x13,
+                            opcode=0x13, funct3=0,
+                            iclass=InstrClass.INT_ALU)
+                for i in range(count)]
 
-    def test_bad_class_code_names_row(self):
-        records = [InstrRecord(seq=i, pc=0x1000 + i, word=0x13,
-                               opcode=0x13, funct3=0,
-                               iclass=InstrClass.INT_ALU)
-                   for i in range(4)]
-        blob = bytearray(b"".join(pack_record(r) for r in records))
-        offset = 2 * RECORD_BYTES + RECORD_DTYPE.fields["iclass"][1]
-        blob[offset] = NUM_CLASSES  # first invalid code, row 2
-        cols = RecordColumns.from_bytes(bytes(blob), start_seq=100)
-        assert cols.first_bad_class_index() == 2
-        with pytest.raises(TraceError, match="record 102"):
-            cols.to_records()
+    def test_misaligned_buffer_rejected(self, tmp_path):
+        path = tmp_path / "t.fgt"
+        data_offset = write_records(path, self.records(2))
+        path.write_bytes(
+            path.read_bytes()[:data_offset + RECORD_BYTES + 1])
+        with pytest.raises(TraceError, match="truncated at record 1"):
+            TraceReader(path).load()
 
-    def test_clean_chunk_reports_no_bad_row(self):
-        cols = RecordColumns.from_records(
-            [InstrRecord(seq=0, pc=0, word=0, opcode=0, funct3=0,
-                         iclass=InstrClass.INT_ALU)])
-        assert cols.first_bad_class_index() == -1
+    def test_bad_class_code_names_row(self, tmp_path):
+        path = tmp_path / "t.fgt"
+        data_offset = write_records(path, self.records(104))
+        blob = bytearray(path.read_bytes())
+        # First invalid code, row 102 (third chunk of 50).
+        blob[data_offset + 102 * RECORD_BYTES + ICLASS_OFFSET] = \
+            len(InstrClass)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError, match="record 102") as err:
+            TraceReader(path, chunk_records=50).load()
+        assert (f"instruction class code {len(InstrClass)} out of range"
+                in str(err.value))
 
-
-class TestTraceIteration:
-    def test_iter_trace_columns_covers_whole_trace(self):
-        from repro.trace.generator import generate_trace
-        from repro.trace.profiles import PARSEC_PROFILES
-
-        trace = generate_trace(PARSEC_PROFILES["swaptions"], seed=7,
-                               length=3000)
-        chunks = list(iter_trace_columns(trace, chunk_records=256))
-        assert sum(len(c) for c in chunks) == len(trace.records)
-        assert [c.start_seq for c in chunks] == list(
-            range(0, len(trace.records), 256))
-        rebuilt = [rec for chunk in chunks
-                   for rec in chunk.to_records()]
-        assert_records_equal(rebuilt, trace.records)
+    def test_clean_chunk_reports_no_bad_row(self, tmp_path):
+        path = tmp_path / "t.fgt"
+        write_records(path, self.records(1))
+        assert len(TraceReader(path).load().records) == 1

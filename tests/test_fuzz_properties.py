@@ -122,6 +122,21 @@ class TestCampaignInvariants:
                     b.attack_id)
 
 
+    def test_seed5_corpus_composes(self):
+        # Regression: campaign 2 arms a 2800-record x264 phase with a
+        # late UAF x2 plan, and x264's own frees all land too close to
+        # the phase end for their quarantine to age.  The injector now
+        # plants frees with room to age instead of refusing the plan;
+        # campaign 4 draws a late x264 UAF plan at the same floor.
+        config = FuzzConfig(seed=5, campaigns=8)
+        for case in fuzz_corpus(config):
+            _, sites = compose_trace(case.scenario, case.seed)
+            assert bool(sites) != case.attack_free, case.index
+            if AttackKind.UAF_ACCESS in case.planned_kinds():
+                assert any(site.kind is AttackKind.UAF_ACCESS
+                           for site in sites), case.index
+
+
 class TestCorpusDeterminism:
     def test_corpus_regenerates_identically(self):
         config = FuzzConfig(campaigns=6, max_phase=1000)

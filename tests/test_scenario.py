@@ -111,10 +111,14 @@ def test_phase_boundaries_preserve_ground_truth(scenario, seed):
 @given(scenario=_SCENARIOS, seed=st.integers(min_value=1, max_value=999))
 def test_composition_roundtrips_through_fgtrace1(scenario, seed):
     trace, _ = compose_trace(scenario, seed)
-    # Sentinel coverage: the round-trip must exercise both "no attack"
-    # (attack_id -1) and "no memory access" (_NO_ADDR) encodings.
+    # Sentinel coverage: the round-trip must exercise the "no attack"
+    # (attack_id -1), "no memory access" (_NO_ADDR) and "no
+    # destination" (dst -1) encodings, and every ``srcs`` length the
+    # ``nsrcs`` field truncates to.
     assert any(r.attack_id is None for r in trace.records)
     assert any(r.mem_addr is None for r in trace.records)
+    assert any(r.dst is None for r in trace.records)
+    assert {len(r.srcs) for r in trace.records} == {0, 1, 2}
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.fgt"

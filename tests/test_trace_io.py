@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.isa.opcodes import InstrClass
 from repro.trace.attacks import AttackKind, inject_attacks
 from repro.trace.generator import generate_trace
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import PARSEC_PROFILES
+from repro.trace.record import InstrRecord
+from repro.trace.stream import NO_ADDR, TraceReader
 
 
 @pytest.fixture
@@ -16,6 +19,18 @@ def trace():
 
 class TestRoundTrip:
     def test_records_identical(self, trace, tmp_path):
+        # Edge records on top of the generated ones: dst and attack_id
+        # None encode as -1 (0 must survive), mem_addr None as NO_ADDR
+        # (the largest real address is one short of it), and srcs as
+        # (nsrcs, src0, src1).
+        for i, edge in enumerate((
+                dict(dst=0, srcs=(), mem_addr=NO_ADDR - 1, attack_id=0),
+                dict(dst=None, srcs=(7,), mem_addr=None),
+                dict(dst=31, srcs=(7, 9), attack_id=None))):
+            trace.records.append(InstrRecord(
+                seq=len(trace.records), pc=0x1000 + 4 * i, word=0x13,
+                opcode=0x13, funct3=0, iclass=InstrClass.INT_ALU,
+                **edge))
         path = tmp_path / "t.fgt"
         save_trace(trace, path)
         loaded = load_trace(path)
@@ -26,7 +41,7 @@ class TestRoundTrip:
             assert a.dst == b.dst and a.srcs == b.srcs
             assert a.mem_addr == b.mem_addr and a.mem_size == b.mem_size
             assert a.taken == b.taken and a.target == b.target
-            assert a.result == b.result
+            assert a.result == b.result and a.attack_id == b.attack_id
 
     def test_metadata_preserved(self, trace, tmp_path):
         path = tmp_path / "t.fgt"
@@ -95,16 +110,19 @@ class TestLoadErrorReporting:
         path = tmp_path / "t.fgt"
         save_trace(trace, path)
         data_offset = self._data_offset(path)
-        # Cut the file in the middle of record 137.
-        cut = data_offset + 137 * RECORD_BYTES + 11
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(TraceError) as err:
-            load_trace(path)
-        message = str(err.value)
-        assert "record 137" in message
-        assert f"file offset {data_offset + 137 * RECORD_BYTES}" \
-            in message
-        assert "found 11" in message
+        blob = path.read_bytes()
+        # Cut the file in the middle of record 137; with 16-record
+        # chunks that is a misaligned buffer in a later chunk.
+        for chunk_records, partial in ((4096, 11), (16, 1), (16, 43)):
+            cut = data_offset + 137 * RECORD_BYTES + partial
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TraceError) as err:
+                TraceReader(path, chunk_records=chunk_records).load()
+            message = str(err.value)
+            assert "record 137" in message
+            assert f"file offset {data_offset + 137 * RECORD_BYTES}" \
+                in message
+            assert f"found {partial}" in message
 
     def test_truncated_at_record_boundary(self, trace, tmp_path):
         from repro.trace.stream import RECORD_BYTES
@@ -129,12 +147,16 @@ class TestLoadErrorReporting:
         blob = bytearray(path.read_bytes())
         blob[data_offset + 42 * RECORD_BYTES + 14] = 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(TraceError) as err:
-            load_trace(path)
-        message = str(err.value)
-        assert "record 42" in message
-        assert f"file offset {data_offset + 42 * RECORD_BYTES}" \
-            in message
+        # With 16-record chunks record 42 sits in the third chunk: the
+        # index and offset are absolute, not chunk-relative.
+        for chunk_records in (4096, 16):
+            with pytest.raises(TraceError) as err:
+                TraceReader(path, chunk_records=chunk_records).load()
+            message = str(err.value)
+            assert "record 42" in message
+            assert f"file offset {data_offset + 42 * RECORD_BYTES}" \
+                in message
+            assert "instruction class code 255 out of range" in message
 
     def test_truncated_header_reported(self, trace, tmp_path):
         path = tmp_path / "t.fgt"
