@@ -1,8 +1,11 @@
 """Front-end predictor combining TAGE, BTB, and RAS.
 
-The OoO core consults this at dispatch for every control-flow
-instruction; a wrong direction or target costs a redirect (the
-pipeline-depth penalty configured in the core parameters).
+The OoO core's verdict for every control-flow instruction comes from
+here: :meth:`~repro.ooo.core.MainCore.prepare` walks the trace through
+the predictor once, in the record order dispatch follows, and every
+run replays those verdicts.  A wrong direction or target costs a
+redirect (the pipeline-depth penalty configured in the core
+parameters).
 """
 
 from __future__ import annotations

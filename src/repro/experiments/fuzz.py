@@ -11,6 +11,13 @@ CoverageMatrix`, writes the ``COVERAGE_fuzz.json`` artifact, and
 exits non-zero if any attack-kind × matching-kernel cell is
 undetected or any clean record alarmed.
 
+The ground truth is the attack-site list of the composition the runner
+executed (:func:`repro.runner.worker.scenario_sites`), checked against
+each record's ``trace_digest`` and injected count — so an in-process
+client composes each campaign once, and the truth is tied to the trace
+that actually ran.  For a process pool or the fabric, this process
+composes the campaign itself, as the oracle always did.
+
 Knobs (see EXPERIMENTS.md): ``REPRO_FUZZ_SEED``,
 ``REPRO_FUZZ_CAMPAIGNS``, ``REPRO_FUZZ_FAMILIES`` (comma-separated
 filter), ``REPRO_FUZZ_OUT``.
@@ -27,6 +34,7 @@ from repro.analysis.report import format_table
 from repro.experiments.common import resolve_client, stream_cells
 from repro.kernels import KERNELS
 from repro.runner import RunSpec
+from repro.runner.worker import scenario_sites
 from repro.service import Client
 from repro.trace.fuzz import (
     DEFAULT_FUZZ_SEED,
@@ -95,12 +103,21 @@ def run(config: FuzzConfig | None = None,
     client = resolve_client(client)
     cases = fuzz_corpus(config)
     digest = corpus_digest(cases)
-    truth = {case.index: case.ground_truth() for case in cases}
-    cells = [((case, kernel), case_spec(case, kernel, stream=stream))
-             for case in cases for kernel in kernels]
+    cells = []
+    for case in cases:
+        for kernel in kernels:
+            spec = case_spec(case, kernel, stream=stream)
+            cells.append(((case, kernel, spec), spec))
     matrix = CoverageMatrix()
-    for (case, kernel), record in stream_cells(cells, client):
-        sites = truth[case.index]
+    for (case, kernel, spec), record in stream_cells(cells, client):
+        trace_digest, sites = scenario_sites(spec)
+        if record.trace_digest != trace_digest:
+            raise AssertionError(
+                f"campaign {case.index} ({case.scenario.name}) ran "
+                f"trace {record.trace_digest[:12] or '(in memory)'} "
+                f"but the ground truth comes from "
+                f"{trace_digest[:12] or '(in memory)'} — fuzzer "
+                f"determinism is broken")
         if record.injected_attacks != len(sites):
             raise AssertionError(
                 f"campaign {case.index} ({case.scenario.name}) "

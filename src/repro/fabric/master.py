@@ -536,5 +536,7 @@ class FabricMaster:
             stats["store"] = {"root": str(self.store.root),
                               "entries": self.store.count(),
                               "hits": self.store.hits,
-                              "writes": self.store.writes}
+                              "writes": self.store.writes,
+                              "index_failures":
+                                  self.store.index_failures}
         return stats

@@ -17,9 +17,13 @@ Flattening map (vs the pre-hotpath object graph):
 * core parameters (width, capacities, latencies) → ``st`` constants
   filled at ``begin()``.
 
-Escape calls — the branch predictor, memory hierarchy, PRF read-port
-arbiter, FU pool, the commit observer (FireGuard's event filter) and
-``core.result`` — stay ordinary objects reached through ``core``:
+The branch predictor is not consulted here: ``mispredicts`` holds one
+byte per record, the verdicts :meth:`MainCore.prepare` recorded in the
+same record order dispatch walks.
+
+Escape calls — the memory hierarchy, PRF read-port arbiter, FU pool,
+the commit observer (FireGuard's event filter) and ``core.result`` —
+stay ordinary objects reached through ``core``:
 they are shared with the rest of the system and carry their own
 statistics.  Same constraints as
 :mod:`repro.hotpath.ucore_kernel`: full annotations, flat ints,
@@ -60,10 +64,6 @@ LINE_SHIFT: Final = 6
 # code, without re-resolving the enum attribute per record.
 IC_LOAD: Final[Any] = InstrClass.LOAD
 IC_STORE: Final[Any] = InstrClass.STORE
-IC_BRANCH: Final[Any] = InstrClass.BRANCH
-IC_JUMP: Final[Any] = InstrClass.JUMP
-IC_CALL: Final[Any] = InstrClass.CALL
-IC_RET: Final[Any] = InstrClass.RET
 
 
 def _commit(core: Any, st: "list[int]", rob_rec: "list[Any]",
@@ -173,7 +173,7 @@ def _schedule(core: Any, st: "list[int]", reg_ready: "list[int]",
 
 def _dispatch(core: Any, st: "list[int]", rob_rec: "list[Any]",
               rob_done: "list[int]", reg_ready: "list[int]",
-              trace: Any, cycle: int) -> None:
+              trace: Any, mispredicts: bytes, cycle: int) -> None:
     result = core.result
     if cycle < st[FETCH_STALL_UNTIL]:
         result.stall_fetch += 1
@@ -219,22 +219,17 @@ def _dispatch(core: Any, st: "list[int]", rob_rec: "list[Any]",
         st[IN_FLIGHT] += 1
         nd += 1
 
-        if (iclass is IC_BRANCH or iclass is IC_JUMP
-                or iclass is IC_CALL or iclass is IC_RET):
-            mispredicted = core.predictor.predict_and_train(
-                iclass, record.pc, record.taken, record.target)
-            if mispredicted:
-                result.mispredicts += 1
-                st[FETCH_STALL_UNTIL] = (completion
-                                         + st[REDIRECT_PENALTY])
-                st[STALL_REDIRECT] = 1
-                break  # redirect ends this dispatch group
+        if mispredicts[nd - 1]:
+            result.mispredicts += 1
+            st[FETCH_STALL_UNTIL] = completion + st[REDIRECT_PENALTY]
+            st[STALL_REDIRECT] = 1
+            break  # redirect ends this dispatch group
     st[NEXT_DISPATCH] = nd
 
 
 def core_step(core: Any, st: "list[int]", rob_rec: "list[Any]",
               rob_done: "list[int]", reg_ready: "list[int]",
-              trace: Any, cycle: int) -> None:
+              trace: Any, mispredicts: bytes, cycle: int) -> None:
     """Advance one core cycle: commit, then dispatch.
 
     Faithful port of the pre-hotpath ``MainCore.step`` over the
@@ -242,5 +237,6 @@ def core_step(core: Any, st: "list[int]", rob_rec: "list[Any]",
     bit-identical.
     """
     _commit(core, st, rob_rec, rob_done, cycle)
-    _dispatch(core, st, rob_rec, rob_done, reg_ready, trace, cycle)
+    _dispatch(core, st, rob_rec, rob_done, reg_ready, trace,
+              mispredicts, cycle)
     core.result.cycles = cycle + 1

@@ -62,8 +62,11 @@ class SetAssocCache(Instrumented):
             raise ConfigError(
                 f"cache {params.name}: set count must be a power of two"
             )
-        # Per-set list of tags, most recently used last.
-        self._sets: list[list[int]] = [[] for _ in range(params.num_sets)]
+        # Per-set tags, most recently used last.  A set is a tuple
+        # until its first write turns it into a list, so a cold or
+        # restored cache shares its sets instead of copying them.
+        self._sets: list[tuple[int, ...] | list[int]] = \
+            [()] * params.num_sets
         # Min-heap of cycles at which outstanding misses complete.
         self._mshr_free_at: list[int] = []
         self.stat_hits = 0
@@ -85,6 +88,8 @@ class SetAssocCache(Instrumented):
         """
         set_idx, tag = self._index(addr)
         tags = self._sets[set_idx]
+        if tags.__class__ is tuple:
+            tags = self._sets[set_idx] = list(tags)
         if tag in tags:
             # LRU update: move to the back.
             tags.remove(tag)
@@ -122,15 +127,32 @@ class SetAssocCache(Instrumented):
         warm-up: no MSHR occupancy, no statistics)."""
         set_idx, tag = self._index(addr)
         tags = self._sets[set_idx]
+        if tags.__class__ is tuple:
+            tags = self._sets[set_idx] = list(tags)
         if tag in tags:
             tags.remove(tag)
         tags.append(tag)
         if len(tags) > self.params.ways:
             tags.pop(0)
 
+    def snapshot(self) -> tuple:
+        """An immutable copy of the run state — resident tags in LRU
+        order, MSHR occupancy and counters — for :meth:`restore`."""
+        return (tuple(map(tuple, self._sets)), tuple(self._mshr_free_at),
+                self.stat_hits, self.stat_misses,
+                self.stat_mshr_stall_cycles)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to the state :meth:`snapshot` captured.  The sets are
+        shared with the snapshot as tuples; a set is copied only when
+        the run first writes it."""
+        (sets, mshrs, self.stat_hits, self.stat_misses,
+         self.stat_mshr_stall_cycles) = snapshot
+        self._sets = list(sets)
+        self._mshr_free_at = list(mshrs)
+
     def flush(self) -> None:
-        for tags in self._sets:
-            tags.clear()
+        self._sets = [()] * len(self._sets)
         self._mshr_free_at.clear()
 
     def reset(self) -> None:

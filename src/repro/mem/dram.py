@@ -55,6 +55,17 @@ class DramModel(Instrumented):
         self.stat_queue_cycles += start - cycle
         return done - cycle
 
+    def snapshot(self) -> tuple:
+        """An immutable copy of the grant state (outstanding
+        completions, last grant) and counters, for :meth:`restore`."""
+        return (tuple(self._completion_heap), self._last_grant,
+                self.stat_requests, self.stat_queue_cycles)
+
+    def restore(self, snapshot: tuple) -> None:
+        (heap, self._last_grant, self.stat_requests,
+         self.stat_queue_cycles) = snapshot
+        self._completion_heap = list(heap)
+
     def reset(self) -> None:
         """Drop outstanding requests and counters (session reset)."""
         self._completion_heap.clear()

@@ -66,6 +66,21 @@ class MemoryHierarchy:
         self.dtlb.reset()
         self.itlb.reset()
 
+    def _parts(self) -> tuple:
+        return (self.l1i, self.l1d, self.l2, self.llc, self.dram,
+                self.dtlb, self.itlb)
+
+    def snapshot(self) -> tuple:
+        """A structural copy of every level's run state (cache sets,
+        MSHR heaps, TLB pages, DRAM grant state, counters); restoring
+        it is what a warmed-up core starts each run from."""
+        return tuple(part.snapshot() for part in self._parts())
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return every level to the state :meth:`snapshot` captured."""
+        for part, state in zip(self._parts(), snapshot):
+            part.restore(state)
+
     def access_data(self, addr: int, cycle: int) -> AccessResult:
         """A load/store data access through DTLB + L1D → … → DRAM."""
         return self._access(addr, cycle, self.l1d, self.dtlb)

@@ -55,6 +55,15 @@ class Tlb(Instrumented):
             pages.pop(0)
         return self.params.walk_latency
 
+    def snapshot(self) -> tuple:
+        """An immutable copy of the resident pages (LRU order) and
+        counters, for :meth:`restore`."""
+        return tuple(self._pages), self.stat_hits, self.stat_misses
+
+    def restore(self, snapshot: tuple) -> None:
+        pages, self.stat_hits, self.stat_misses = snapshot
+        self._pages = list(pages)
+
     def flush(self) -> None:
         self._pages.clear()
 

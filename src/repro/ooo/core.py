@@ -12,6 +12,12 @@ FireGuard's evaluation measures:
 * front-end redirects from the TAGE/BTB/RAS predictor,
 * cache/TLB miss latency through the Table II hierarchy.
 
+The timing-independent part of a run — the functional warm-up of the
+hierarchy and the predictor's verdict on every control record — is
+computed once per trace by :meth:`MainCore.prepare` into a
+:class:`PreparedTrace`, which every :meth:`MainCore.begin` on that
+trace restores (DESIGN.md: "Main core").
+
 A ``CommitObserver`` (FireGuard's frontend) may veto commit in a given
 lane — that is exactly the paper's back-pressure mechanism.
 
@@ -29,15 +35,15 @@ flatten.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Protocol
 
-from repro.branch.predictor import FrontEndPredictor
+from repro.branch.predictor import FrontEndPredictor, PredictorParams
 from repro.errors import SimulationError
 from repro.hotpath import ooo_kernel as _ok
 from repro.hotpath.ooo_kernel import core_step
 from repro.isa.opcodes import InstrClass
-from repro.mem.hierarchy import MemoryHierarchy
+from repro.mem.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.ooo.issue import FunctionalUnitPool, FuParams
 from repro.ooo.params import CoreParams
 from repro.ooo.prf import PhysicalRegisterFile
@@ -83,6 +89,33 @@ class CoreResult:
         return self.committed / self.cycles if self.cycles else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedTrace:
+    """Everything about running one trace that does not depend on
+    timing, computed once by :meth:`MainCore.prepare` and restored by
+    every :meth:`MainCore.begin` on that trace.
+
+    * ``hierarchy`` — the memory hierarchy's snapshot after the
+      functional warm-up: cache sets, MSHR heaps, TLB pages, DRAM grant
+      state and counters;
+    * ``mispredicts`` — one byte per record, 1 where the front-end
+      predictor (warmed on the same prefix) mispredicts the record when
+      the run dispatches it.  The front end predicts at dispatch, and
+      dispatch walks the trace in record order whatever the
+      back-pressure, so each verdict is fixed before the run.
+
+    The parameters and warm-up length it was built for are kept so a
+    mismatched restore fails loudly instead of timing the wrong core.
+    """
+
+    length: int
+    warmup_records: int
+    hierarchy_params: HierarchyParams
+    predictor_params: PredictorParams
+    hierarchy: tuple
+    mispredicts: bytes
+
+
 class MainCore:
     """Cycle-stepped trace-driven OoO core."""
 
@@ -100,6 +133,7 @@ class MainCore:
         self._observer: CommitObserver | None = None
 
         self._trace: list[InstrRecord] = []
+        self._mispredicts = b""
         p = self.params
         st = [0] * _ok.ST_LEN
         st[_ok.LAST_FETCH_LINE] = -1
@@ -119,18 +153,20 @@ class MainCore:
 
     def reset(self) -> None:
         """Return the core to its just-constructed state: cold caches
-        and TLBs, untrained predictor, empty queues and run state.
+        and TLBs, empty queues and run state.
 
-        ``begin`` resets only the per-run bookkeeping (so warm-up can
-        be shared); ``reset`` is the stronger guarantee the simulation
-        session needs to make a reused core bit-identical to a fresh
-        one."""
+        ``begin`` resets only the per-run bookkeeping and restores the
+        hierarchy from a :class:`PreparedTrace`; ``reset`` is the
+        stronger guarantee the simulation session needs to make a
+        reused core bit-identical to a fresh one.  The predictor is
+        left alone: runs replay the verdicts :meth:`prepare` recorded,
+        and :meth:`prepare` retrains it from cold."""
         self.hierarchy.reset()
-        self.predictor.reset()
         self.prf.reset()
         self.fu_pool.reset()
         self._observer = None
         self._trace = []
+        self._mispredicts = b""
         self._clear_run_state()
 
     def _clear_run_state(self) -> None:
@@ -191,50 +227,116 @@ class MainCore:
     DEFAULT_WARMUP = 4000
 
     def begin(self, trace: "Trace", record_commit_times: bool = False,
-              warmup_records: int | None = None) -> None:
+              warmup_records: int | None = None,
+              prepared: PreparedTrace | None = None) -> None:
         """Reset run state and start consuming ``trace``.
 
         ``trace`` is any trace source implementing the record protocol
         (``len()``, ``iter_records()``, ``record_view()``, region
         metadata) — an in-memory :class:`Trace` or an on-disk
-        :class:`~repro.trace.stream.StreamedTrace`, which serves both
-        passes below from bounded-memory chunks.
+        :class:`~repro.trace.stream.StreamedTrace`, whose reads stay
+        within bounded-memory chunks.
 
-        A warm-up pass first touches the caches, TLBs and branch
-        predictor with a prefix of the trace (functional only, no
-        timing): short traces otherwise measure compulsory misses
-        instead of steady state.  Baseline and monitored runs warm
-        identically, so slowdown ratios are unaffected.
+        Every run starts from a :class:`PreparedTrace`: ``prepared``
+        when the caller has one for this trace (the runner caches them
+        per workload), otherwise one built here by :meth:`prepare`.
+        The hierarchy is restored to its warmed snapshot and dispatch
+        replays the recorded branch verdicts, so a restored run is
+        bit-identical to one that warms up from scratch.  A
+        ``prepared`` built for another trace length, core
+        configuration or warm-up length raises
+        :class:`~repro.errors.SimulationError`.
         """
-        if warmup_records is None:
-            warmup_records = min(self.DEFAULT_WARMUP, len(trace) // 2)
-        self._warm_up(trace, warmup_records)
+        if prepared is None:
+            prepared = self.prepare(trace, warmup_records)
+        else:
+            self._check_prepared(prepared, trace, warmup_records)
+        self.hierarchy.restore(prepared.hierarchy)
+        self._mispredicts = prepared.mispredicts
         self._trace = trace.record_view()
         self._clear_run_state()
         st = self._st
         st[_ok.TRACE_LEN] = len(self._trace)
         st[_ok.RECORD_TIMES] = 1 if record_commit_times else 0
 
-    def _warm_up(self, trace: "Trace", count: int) -> None:
+    def prepare(self, trace: "Trace",
+                warmup_records: int | None = None) -> PreparedTrace:
+        """Compute the timing-independent part of running ``trace``.
+
+        A warm-up pass touches the caches, TLBs and branch predictor
+        with a prefix of the trace (functional only, no timing): short
+        traces otherwise measure compulsory misses instead of steady
+        state.  The hierarchy is then snapshotted, and the warmed
+        predictor walks the whole trace in record order — the order
+        dispatch takes records — recording each mispredict.  Baseline and
+        monitored runs restore the same preparation, so slowdown ratios
+        are unaffected.  The core's hierarchy and predictor are the
+        scratch state: both are reset first, so the result depends only
+        on the trace and the core parameters.  One iteration of
+        ``trace.iter_records()`` serves both passes.
+        """
+        if warmup_records is None:
+            warmup_records = min(self.DEFAULT_WARMUP, len(trace) // 2)
+        hierarchy = self.hierarchy
+        predictor = self.predictor
+        hierarchy.reset()
+        predictor.reset()
+        predict = predictor.predict_and_train
+        records = trace.iter_records()
+        # Control records of the prefix, replayed once warm.
+        prefix: list[tuple[int, InstrRecord]] = []
         last_line = -1
-        for record in islice(trace.iter_records(), count):
+        for index, record in enumerate(islice(records, warmup_records)):
             line = record.pc >> self._LINE_SHIFT
             if line != last_line:
-                self.hierarchy.access_instr(record.pc, 0)
+                hierarchy.access_instr(record.pc, 0)
                 last_line = line
             if record.mem_addr is not None:
-                self.hierarchy.access_data(record.mem_addr, 0)
+                hierarchy.access_data(record.mem_addr, 0)
             if record.is_ctrl:
-                self.predictor.predict_and_train(
-                    record.iclass, record.pc, record.taken, record.target)
+                predict(record.iclass, record.pc, record.taken,
+                        record.target)
+                prefix.append((index, record))
         # The structurally warm set is L2/LLC-resident at steady state;
         # fill those levels (not the L1 — it holds only the hot set).
         if trace.warm_end > trace.global_base:
             addr = trace.global_base
             while addr < trace.warm_end:
-                self.hierarchy.l2.prefill(addr)
-                self.hierarchy.llc.prefill(addr)
+                hierarchy.l2.prefill(addr)
+                hierarchy.llc.prefill(addr)
                 addr += 64
+        snapshot = hierarchy.snapshot()
+
+        mispredicts = bytearray(len(trace))
+        for index, record in chain(prefix,
+                                   enumerate(records, warmup_records)):
+            if record.is_ctrl and predict(record.iclass, record.pc,
+                                          record.taken, record.target):
+                mispredicts[index] = 1
+        return PreparedTrace(
+            length=len(mispredicts), warmup_records=warmup_records,
+            hierarchy_params=hierarchy.params,
+            predictor_params=predictor.params,
+            hierarchy=snapshot, mispredicts=bytes(mispredicts))
+
+    def _check_prepared(self, prepared: PreparedTrace, trace: "Trace",
+                        warmup_records: int | None) -> None:
+        problems = []
+        if prepared.length != len(trace):
+            problems.append(f"it covers {prepared.length} records, the "
+                            f"trace has {len(trace)}")
+        if (warmup_records is not None
+                and prepared.warmup_records != warmup_records):
+            problems.append(f"it warmed {prepared.warmup_records} "
+                            f"records, not {warmup_records}")
+        if prepared.hierarchy_params != self.hierarchy.params:
+            problems.append("its memory hierarchy parameters differ")
+        if prepared.predictor_params != self.predictor.params:
+            problems.append("its predictor parameters differ")
+        if problems:
+            raise SimulationError(
+                f"prepared trace does not fit {trace.name!r} on this "
+                f"core: " + "; ".join(problems))
 
     @property
     def done(self) -> bool:
@@ -254,7 +356,7 @@ class MainCore:
     def step(self, cycle: int) -> None:
         """Advance one core cycle: commit, then dispatch."""
         core_step(self, self._st, self._rob_rec, self._rob_done,
-                  self._reg_ready, self._trace, cycle)
+                  self._reg_ready, self._trace, self._mispredicts, cycle)
 
     # -- stall fast-forward ----------------------------------------------
     def stall_window(self, cycle: int) -> tuple[int, str] | None:
@@ -330,9 +432,12 @@ class MainCore:
         result.cycles = target
 
     def run_standalone(self, trace: Trace,
-                       max_cycles: int = 50_000_000) -> CoreResult:
-        """Run a trace to completion without FireGuard attached."""
-        self.begin(trace)
+                       max_cycles: int = 50_000_000,
+                       prepared: PreparedTrace | None = None
+                       ) -> CoreResult:
+        """Run a trace to completion without FireGuard attached
+        (restoring ``prepared`` when given, see :meth:`begin`)."""
+        self.begin(trace, prepared=prepared)
         cycle = 0
         while not self.done:
             if cycle >= max_cycles:

@@ -22,7 +22,15 @@ content-addressed: each file is renamed to its sha256 digest, and the
 trace cache maps spec workload keys to digests — two specs that
 compose identical bytes share one file, and the digest is the
 determinism witness the cross-worker tests compare
-(``RunRecord.trace_digest``).
+(``RunRecord.trace_digest``).  The trace caches also keep the injected
+attack sites, which :func:`scenario_sites` hands to the fuzz harness
+as ground truth.
+
+Every run on a trace — the baseline and each monitored system — starts
+from the same :class:`~repro.ooo.core.PreparedTrace` (warmed hierarchy
+snapshot, replayed branch verdicts).  The most recent one is kept,
+keyed by the workload key the baseline cache uses, so a batch that
+runs one trace through several systems back to back prepares it once.
 
 On top of the per-process caches sits the *persistent* layer:
 :func:`execute_spec` reads through and writes back a
@@ -41,6 +49,7 @@ and a True return raises :class:`~repro.errors.RunCancelled`.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import shutil
 import tempfile
@@ -48,13 +57,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.baselines import SCHEMES, instrument_trace
-from repro.errors import RunCancelled, StoreError
+from repro.errors import ConfigError, RunCancelled, StoreError
 from repro.core.system import FireGuardSystem
 from repro.kernels import make_kernel
-from repro.ooo.core import MainCore
+from repro.ooo.core import MainCore, PreparedTrace
 from repro.runner.spec import RunRecord, RunSpec
 from repro.sim.session import SimulationSession
-from repro.trace.attacks import inject_attacks
+from repro.trace.attacks import AttackSite, inject_attacks
 from repro.trace.generator import TraceGenerator, generate_trace
 from repro.trace.profiles import PARSEC_PROFILES
 from repro.trace.record import Trace
@@ -83,14 +92,20 @@ _BASELINES: dict[tuple, int] = {}
 # Composed scenario traces: never mutated after composition (attacks
 # are injected phase by phase inside the compositor), so one copy is
 # shared process-wide like clean traces are.
-_SCENARIO_TRACES: dict[tuple, tuple[Trace, int]] = {}
-# Streamed workloads: workload key -> (digest, injected attack count).
+_SCENARIO_TRACES: dict[tuple, tuple[Trace, tuple[AttackSite, ...]]] = {}
+# Streamed workloads: workload key -> (digest, injected attack sites).
 # Files live in the spool directory under their digest, so identical
 # workloads reached through different keys share bytes on disk.
-_STREAMED: dict[tuple, tuple[str, int]] = {}
+_STREAMED: dict[tuple, tuple[str, tuple[AttackSite, ...]]] = {}
+# The most recent prepared trace: {workload key: PreparedTrace}, at
+# most one entry.  Batches visit one trace's systems back to back, so
+# one entry catches their reuse.
+_PREPARED: dict[tuple, PreparedTrace] = {}
 
 _SPOOL_DIR: Path | None = None
-_SPOOL_SEQ = 0
+# Spool file names; next() on a count is atomic, so the client thread
+# and the submitting thread never share a temporary name.
+_SPOOL_SEQ = itertools.count(1)
 
 # Simulations actually executed by this process (store hits excluded):
 # the witness the warm-store tests assert stays at zero.
@@ -153,6 +168,7 @@ def clear_caches() -> None:
     _BASELINES.clear()
     _SCENARIO_TRACES.clear()
     _STREAMED.clear()
+    _PREPARED.clear()
     _ENV_STORE_CACHE = False
 
 
@@ -191,16 +207,32 @@ def _admit_spooled(writer_path: Path, digest: str) -> Path:
     return target
 
 
-def _stream_scenario(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
-    """Compose the spec's scenario to disk (phase-bounded memory) and
-    return a reader over the spooled file."""
-    global _SPOOL_SEQ
-    scenario = _resolved_scenario(spec)
-    key = ("scenario", scenario.cache_token(), spec.seed)
+def _workload_key(spec: RunSpec) -> tuple:
+    """The key of the spec's record stream, shared by the trace,
+    baseline and prepared-trace caches.  Streamed and in-memory
+    variants of one workload share it (their records are
+    bit-identical); clean and attacked variants never do."""
+    if spec.scenario is not None:
+        scenario = _resolved_scenario(spec)
+        return ("scenario", scenario.cache_token(), spec.seed)
+    attacks = spec.attacks
+    token = None if attacks is None else (
+        attacks.kind.name, attacks.count, attacks.pmc_bounds,
+        attacks.placement)
+    return (spec.benchmark, spec.seed, spec.resolved_length(), token)
+
+
+def _spooled_scenario(spec: RunSpec
+                      ) -> tuple[str, tuple[AttackSite, ...]]:
+    """Compose the spec's scenario to disk (phase-bounded memory) once
+    per process; returns the spooled file's digest and the injected
+    attack sites."""
+    key = _workload_key(spec)
     cached = _STREAMED.get(key)
     if cached is None:
-        _SPOOL_SEQ += 1
-        tmp = _spool_dir() / f"compose-{os.getpid()}-{_SPOOL_SEQ}.fgt"
+        scenario = _resolved_scenario(spec)
+        tmp = _spool_dir() / (f"compose-{os.getpid()}-"
+                              f"{next(_SPOOL_SEQ)}.fgt")
         composer = ScenarioComposer(scenario, spec.seed)
         with TraceWriter(tmp, name=scenario.name,
                          seed=spec.seed) as writer:
@@ -208,11 +240,16 @@ def _stream_scenario(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
                 writer.extend(records)
             digest = writer.finalize(**composer.meta_kwargs())
         _admit_spooled(tmp, digest)
-        cached = (digest, len(composer.sites))
+        cached = (digest, tuple(composer.sites))
         _STREAMED[key] = cached
-    digest, injected = cached
+    return cached
+
+
+def _stream_scenario(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
+    """A reader over the spec's spooled scenario composition."""
+    digest, sites = _spooled_scenario(spec)
     return (StreamedTrace(_spool_path(digest), digest=digest),
-            injected, digest)
+            len(sites), digest)
 
 
 def _stream_plain(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
@@ -224,18 +261,13 @@ def _stream_plain(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
     is bounded.  Long attacked workloads should use scenarios, whose
     phase-wise injection keeps composition bounded too.
     """
-    global _SPOOL_SEQ
     length = spec.resolved_length()
     attacks = spec.attacks
-    token = None if attacks is None else (
-        attacks.kind.name, attacks.count, attacks.pmc_bounds,
-        attacks.placement)
-    key = ("plain", spec.benchmark, spec.seed, length, token)
+    key = _workload_key(spec)
     cached = _STREAMED.get(key)
     if cached is None:
-        _SPOOL_SEQ += 1
-        tmp = _spool_dir() / f"gen-{os.getpid()}-{_SPOOL_SEQ}.fgt"
-        injected = 0
+        tmp = _spool_dir() / f"gen-{os.getpid()}-{next(_SPOOL_SEQ)}.fgt"
+        sites: tuple[AttackSite, ...] = ()
         profile = PARSEC_PROFILES[spec.benchmark]
         if attacks is None:
             gen = TraceGenerator(profile, seed=spec.seed, length=length)
@@ -246,10 +278,10 @@ def _stream_plain(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
         else:
             trace = generate_trace(profile, seed=spec.seed,
                                    length=length)
-            sites = inject_attacks(trace, attacks.kind, attacks.count,
-                                   pmc_bounds=attacks.pmc_bounds,
-                                   placement=attacks.placement)
-            injected = len(sites)
+            sites = tuple(inject_attacks(
+                trace, attacks.kind, attacks.count,
+                pmc_bounds=attacks.pmc_bounds,
+                placement=attacks.placement))
             with TraceWriter(tmp, name=trace.name,
                              seed=trace.seed) as writer:
                 writer.extend(trace.records)
@@ -260,23 +292,42 @@ def _stream_plain(spec: RunSpec) -> tuple[StreamedTrace, int, str]:
                     global_end=trace.global_end,
                     warm_end=trace.warm_end)
         _admit_spooled(tmp, digest)
-        cached = (digest, injected)
+        cached = (digest, sites)
         _STREAMED[key] = cached
-    digest, injected = cached
+    digest, sites = cached
     return (StreamedTrace(_spool_path(digest), digest=digest),
-            injected, digest)
+            len(sites), digest)
 
 
-def _composed_trace(spec: RunSpec) -> tuple[Trace, int]:
-    """The (cached) in-memory composition of the spec's scenario."""
-    scenario = _resolved_scenario(spec)
-    key = (scenario.cache_token(), spec.seed)
+def _composed_trace(spec: RunSpec
+                    ) -> tuple[Trace, tuple[AttackSite, ...]]:
+    """The (cached) in-memory composition of the spec's scenario and
+    its injected attack sites."""
+    key = _workload_key(spec)
     cached = _SCENARIO_TRACES.get(key)
     if cached is None:
-        trace, sites = compose_trace(scenario, spec.seed)
-        cached = (trace, len(sites))
+        trace, sites = compose_trace(_resolved_scenario(spec), spec.seed)
+        cached = (trace, tuple(sites))
         _SCENARIO_TRACES[key] = cached
     return cached
+
+
+def scenario_sites(spec: RunSpec) -> tuple[str, tuple[AttackSite, ...]]:
+    """The on-disk digest ("" for in-memory workloads) and the
+    injected attack sites of a scenario spec's trace.
+
+    This is the composition the spec's run used when it ran in this
+    process — the fuzz harness's ground truth, checked against the
+    record's ``trace_digest``.  A spec answered elsewhere (a store hit,
+    a process pool, the fabric) is composed here on first use.
+    """
+    if spec.scenario is None:
+        raise ConfigError(
+            f"spec for {spec.benchmark!r} has no scenario, so no "
+            f"composed attack sites")
+    if spec.stream:
+        return _spooled_scenario(spec)
+    return "", _composed_trace(spec)[1]
 
 
 def _trace_for(spec: RunSpec) -> tuple["Trace | StreamedTrace", int, str]:
@@ -290,8 +341,8 @@ def _trace_for(spec: RunSpec) -> tuple["Trace | StreamedTrace", int, str]:
     if spec.scenario is not None:
         if spec.stream:
             return _stream_scenario(spec)
-        trace, injected = _composed_trace(spec)
-        return trace, injected, ""
+        trace, sites = _composed_trace(spec)
+        return trace, len(sites), ""
     if spec.stream:
         return _stream_plain(spec)
     length = spec.resolved_length()
@@ -305,44 +356,37 @@ def _trace_for(spec: RunSpec) -> tuple["Trace | StreamedTrace", int, str]:
     return trace, len(sites), ""
 
 
-def baseline_cycles(benchmark: str, seed: int, length: int) -> int:
-    """Unmonitored-core cycles for a clean workload (the slowdown
-    denominator), cached process-wide."""
-    key = (benchmark, seed, length, None)
+def _prepared_for(key: tuple, trace) -> PreparedTrace:
+    """The :class:`~repro.ooo.core.PreparedTrace` of the trace behind
+    workload ``key``, prepared unless it is the one kept from the last
+    call.  Every core the runner builds uses the default parameters,
+    which the restore checks."""
+    prepared = _PREPARED.get(key)
+    if prepared is None:
+        prepared = MainCore().prepare(trace)
+        _PREPARED.clear()
+        _PREPARED[key] = prepared
+    return prepared
+
+
+def _baseline_for(key: tuple, trace) -> int:
+    """Unmonitored-core cycles for the trace behind workload ``key``
+    (clean, attacked or composed), cached process-wide.  A streamed
+    spec runs the baseline on its streamed source, so stream=True
+    never materialises the workload just for the denominator."""
     cycles = _BASELINES.get(key)
     if cycles is None:
         cycles = MainCore().run_standalone(
-            cached_trace(benchmark, seed, length)).cycles
+            trace, prepared=_prepared_for(key, trace)).cycles
         _BASELINES[key] = cycles
     return cycles
 
 
-def _baseline_for(spec: RunSpec, trace) -> int:
-    """Baseline cycles for the spec's (possibly attacked or composed)
-    trace.  Streamed and in-memory variants of the same workload share
-    one cache entry: their record streams are bit-identical."""
-    if spec.scenario is not None:
-        scenario = _resolved_scenario(spec)
-        key = ("scenario", scenario.cache_token(), spec.seed)
-    elif spec.attacks is None and not spec.stream:
-        return baseline_cycles(spec.benchmark, spec.seed,
-                               spec.resolved_length())
-    else:
-        # Streamed clean specs share the baseline_cycles key (their
-        # record stream is bit-identical to the in-memory trace) but
-        # run the baseline on the streamed source, so stream=True
-        # never materialises the workload just for the denominator.
-        attacks = spec.attacks
-        token = None if attacks is None else (
-            attacks.kind.name, attacks.count, attacks.pmc_bounds,
-            attacks.placement)
-        key = (spec.benchmark, spec.seed, spec.resolved_length(),
-               token)
-    cycles = _BASELINES.get(key)
-    if cycles is None:
-        cycles = MainCore().run_standalone(trace).cycles
-        _BASELINES[key] = cycles
-    return cycles
+def baseline_cycles(benchmark: str, seed: int, length: int) -> int:
+    """Unmonitored-core cycles for a clean workload (the slowdown
+    denominator), cached process-wide."""
+    return _baseline_for((benchmark, seed, length, None),
+                         cached_trace(benchmark, seed, length))
 
 
 def _session_for(spec: RunSpec) -> SimulationSession:
@@ -411,13 +455,16 @@ def execute_spec(spec: RunSpec, store=ENV_STORE,
                else " (no store is configured)"))
     _SIM_EXECUTIONS += 1
     trace, injected, digest = _trace_for(spec)
+    workload = _workload_key(spec)
     _check_cancel(cancel, spec)
-    baseline = _baseline_for(spec, trace) if spec.need_baseline else 0
+    baseline = _baseline_for(workload, trace) if spec.need_baseline \
+        else 0
     _check_cancel(cancel, spec)
     if spec.software is not None:
         result = _run_software(spec, trace)
     else:
-        result = _session_for(spec).run(trace)
+        result = _session_for(spec).run(
+            trace, prepared=_prepared_for(workload, trace))
     record = RunRecord(spec=spec, result=result,
                        baseline_cycles=baseline,
                        injected_attacks=injected, trace_digest=digest)

@@ -29,7 +29,9 @@ Concurrency and failure model:
   maintained write-through by ``put``, rebuilt from the filesystem by
   ``reindex()``, and every reader falls back to a directory scan if
   SQLite is unavailable or the file is damaged — the JSON documents
-  remain the only ground truth.
+  remain the only ground truth.  A failing index is retired on first
+  failure: ``index_failures`` counts it and one :class:`StoreWarning`
+  names the operation and the exception.
 
 ``gc()`` is the compaction companion: it reclaims quarantined
 corpses, abandoned temporary files and (optionally) entries stamped
@@ -74,7 +76,8 @@ _INDEX_NAME = "index.sqlite"
 
 
 class StoreWarning(UserWarning):
-    """A store entry was unusable and has been quarantined."""
+    """A store entry was unusable and has been quarantined, or the
+    advisory index failed and reads fell back to directory scans."""
 
 
 class ResultStore:
@@ -91,9 +94,13 @@ class ResultStore:
         self.writes = 0
         self.quarantined = 0
         self.schema_misses = 0
+        self.index_failures = 0
         self._index_conn = None
         self._index_dead = sqlite3 is None
         self._index_lock = threading.Lock()
+        # Separate from _index_lock, which the open path already holds
+        # when it fails.
+        self._failure_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> "ResultStore | None":
@@ -128,6 +135,21 @@ class ResultStore:
     def index_path(self) -> Path:
         return self.root / _INDEX_NAME
 
+    def _index_failed(self, operation: str, exc: Exception) -> None:
+        """Retire the advisory index after a failure: count it, warn
+        once, and let every later reader scan the directory.  A locked
+        or damaged index never blocks a filesystem write that already
+        landed."""
+        with self._failure_lock:
+            self.index_failures += 1
+            first = not self._index_dead
+            self._index_dead = True
+        if first:
+            warnings.warn(
+                f"result store index {self.index_path} failed during "
+                f"{operation} ({type(exc).__name__}: {exc}); falling "
+                f"back to directory scans", StoreWarning, stacklevel=3)
+
     def _index(self):
         """The shared SQLite index connection, or None when SQLite is
         unavailable or the index file is unusable (the store then
@@ -150,8 +172,8 @@ class ResultStore:
                 conn.commit()
                 empty = conn.execute(
                     "SELECT 1 FROM entries LIMIT 1").fetchone() is None
-            except Exception:
-                self._index_dead = True
+            except Exception as exc:
+                self._index_failed("open", exc)
                 return None
             self._index_conn = conn
         if empty and next(self.root.glob("*.json"), None) is not None:
@@ -172,10 +194,8 @@ class ResultStore:
                     "INSERT OR REPLACE INTO entries (key, schema, size)"
                     " VALUES (?, ?, ?)", (key, schema, size))
                 conn.commit()
-        except Exception:
-            # Advisory index: a locked or damaged file never blocks a
-            # write that already landed on the filesystem.
-            self._index_dead = True
+        except Exception as exc:
+            self._index_failed("put", exc)
 
     def _index_drop(self, key: str) -> None:
         conn = self._index()
@@ -186,8 +206,8 @@ class ResultStore:
                 conn.execute("DELETE FROM entries WHERE key = ?",
                              (key,))
                 conn.commit()
-        except Exception:
-            self._index_dead = True
+        except Exception as exc:
+            self._index_failed("drop", exc)
 
     def count(self) -> int:
         """Number of entries, from the index when available (O(1) for
@@ -199,8 +219,8 @@ class ResultStore:
                     row = conn.execute(
                         "SELECT COUNT(*) FROM entries").fetchone()
                 return int(row[0])
-            except Exception:
-                self._index_dead = True
+            except Exception as exc:
+                self._index_failed("count", exc)
         return sum(1 for _ in self.keys())
 
     def reindex(self) -> int:
@@ -226,8 +246,8 @@ class ResultStore:
                         "INSERT OR REPLACE INTO entries "
                         "(key, schema, size) VALUES (?, ?, ?)", rows)
                     conn.commit()
-            except Exception:
-                self._index_dead = True
+            except Exception as exc:
+                self._index_failed("reindex", exc)
         return len(rows)
 
     # -- compaction --------------------------------------------------------

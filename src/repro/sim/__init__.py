@@ -2,7 +2,7 @@
 
 ``FireGuardSystem`` construction is expensive — filter SRAM
 programming, kernel assembly, engine construction — while a run only
-mutates queue/cache/predictor state.  :class:`SimulationSession`
+mutates queue and cache state.  :class:`SimulationSession`
 separates the two: it owns the cycle loop for one built system and an
 explicit :meth:`~repro.sim.session.SimulationSession.reset` that
 returns every component to its just-built state, so one system can

@@ -14,7 +14,7 @@ The session adds three things the monolithic loop could not offer:
 
 * **reset** — every component implements ``reset()`` back to its
   just-built state (SRAM programming, assembled kernels and engine
-  partitioning are kept; queues, caches, predictors, stats are not),
+  partitioning are kept; queues, caches, stats are not),
   so one expensive build executes many traces deterministically;
 * **event-driven scheduling** (default) — instead of polling every
   fabric component every low cycle, a cycle-wheel
@@ -60,6 +60,7 @@ PROFILE_ENV = "REPRO_PROFILE"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import FireGuardSystem, SystemResult
+    from repro.ooo.core import PreparedTrace
 
 
 class SimulationSession(Instrumented):
@@ -245,9 +246,11 @@ class SimulationSession(Instrumented):
         Build-time state survives (filter SRAM programming, assembled
         kernel programs, engine partitioning, preset registers, NoC
         topology, SE subscriptions); all run state is discarded (core
-        caches/TLBs/predictor, queue contents, µcore registers and
-        caches, shared functional memory, statistics, scheduled
-        wakeups).
+        caches/TLBs, queue contents, µcore registers and caches,
+        shared functional memory, statistics, scheduled wakeups).  The
+        core's branch verdicts come from the trace's
+        :class:`~repro.ooo.core.PreparedTrace`, so no predictor state
+        carries over either.
         """
         system = self.system
         system.core.reset()
@@ -296,7 +299,8 @@ class SimulationSession(Instrumented):
 
     # -- simulation --------------------------------------------------------
     def run(self, trace: Trace,
-            max_cycles: int = 50_000_000) -> "SystemResult":
+            max_cycles: int = 50_000_000,
+            prepared: "PreparedTrace | None" = None) -> "SystemResult":
         """Run one workload to completion (trace consumed, queues
         drained, engines idle) and return the system result.
 
@@ -305,7 +309,10 @@ class SimulationSession(Instrumented):
         :class:`~repro.trace.stream.StreamedTrace`): both the
         event-driven and the dense ``REPRO_DENSE_LOOP`` path consume
         it through the core's bounded-memory view, so streamed and
-        materialised runs are bit-identical.
+        materialised runs are bit-identical.  ``prepared`` is the
+        trace's :class:`~repro.ooo.core.PreparedTrace` when the caller
+        keeps one (the core builds it otherwise; the result is the
+        same).
         """
         if self._dirty:
             raise SimulationError(
@@ -318,7 +325,8 @@ class SimulationSession(Instrumented):
         system = self.system
         system._result = SystemResult(cycles=0, committed=0, time_ns=0.0,
                                       stall_backpressure=0)
-        system.core.begin(trace, record_commit_times=True)
+        system.core.begin(trace, record_commit_times=True,
+                          prepared=prepared)
         system.core.attach_observer(system.filter)
         clock = DualDomainClock(system.config.high_domain(),
                                 system.config.low_domain())

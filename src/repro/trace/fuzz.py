@@ -29,9 +29,13 @@ Secondary plans, counts, placements and profiles stay fuzzed.
 
 Ground truth is exact, not estimated: :meth:`FuzzCase.ground_truth`
 composes the scenario and returns the per-attack
-:class:`~repro.trace.attacks.AttackSite` list — the oracle the
-detection-coverage matrix (:mod:`repro.analysis.coverage`) joins
-against executed detections.
+:class:`~repro.trace.attacks.AttackSite` list.  The fuzz harness
+(:mod:`repro.experiments.fuzz`) takes the same list from the
+composition the runner executed
+(:func:`repro.runner.worker.scenario_sites`) and checks it against
+each record's trace digest, so the oracle the detection-coverage
+matrix (:mod:`repro.analysis.coverage`) joins against executed
+detections is the truth of the trace that actually ran.
 """
 
 from __future__ import annotations

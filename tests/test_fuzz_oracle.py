@@ -18,12 +18,19 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.coverage import MATCHING_KERNEL
-from repro.experiments.fuzz import case_spec, run, write_artifact
+from repro.experiments import fuzz as fuzz_harness
+from repro.experiments.fuzz import (
+    DEFAULT_CAMPAIGNS,
+    case_spec,
+    run,
+    write_artifact,
+)
 from repro.kernels import KERNELS
-from repro.runner import RunSpec
+from repro.runner import RunSpec, worker
+from repro.runner.worker import execute_spec, scenario_sites
 from repro.service import Client
 from repro.trace.attacks import AttackKind
-from repro.trace.fuzz import FuzzConfig, fuzz_corpus
+from repro.trace.fuzz import FuzzCase, FuzzConfig, fuzz_corpus
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -120,6 +127,87 @@ class TestDetectionOracle:
                 assert got == want, (
                     f"{case.scenario.name} x {kernel}: detected "
                     f"{sorted(got)}, ground truth {sorted(want)}")
+
+
+#: One armed campaign: enough to show a fault trips the harness.
+SMALL = FuzzConfig(campaigns=1, min_phase=700, max_phase=900)
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """The runner's scenario compositions, recorded as they happen,
+    starting from empty per-process caches."""
+    calls = []
+    real_composer = worker.ScenarioComposer
+
+    def counting_composer(*args, **kwargs):
+        calls.append(args)
+        return real_composer(*args, **kwargs)
+
+    worker.clear_caches()
+    monkeypatch.setattr(worker, "ScenarioComposer", counting_composer)
+    yield calls
+    worker.clear_caches()
+
+
+def run_small(kernels=("pmc",), config=SMALL):
+    with Client(store=False, cache=False) as client:
+        return run(config, kernels=kernels, client=client)
+
+
+class TestRunnerGroundTruth:
+    """The harness's ground truth is the runner's own composition,
+    checked against the trace each record ran."""
+
+    def test_default_corpus_sites_are_the_oracle_and_ran(
+            self, compositions):
+        cases = fuzz_corpus(FuzzConfig(campaigns=DEFAULT_CAMPAIGNS))
+        for case in cases:
+            spec = case_spec(case, "shadow_stack")
+            record = execute_spec(spec, store=False)
+            digest, sites = scenario_sites(spec)
+            assert digest == record.trace_digest
+            assert record.injected_attacks == len(sites)
+            assert sites == case.ground_truth()
+        # The truth came from the runs' compositions, not new ones.
+        assert len(compositions) == len(cases)
+
+    def test_in_process_client_composes_each_campaign_once(
+            self, compositions, monkeypatch):
+        def no_recomposition(self):
+            raise AssertionError("the harness recomposed a campaign")
+
+        monkeypatch.setattr(FuzzCase, "ground_truth", no_recomposition)
+        config = FuzzConfig(campaigns=2, min_phase=700, max_phase=900)
+        matrix, cases, _ = run_small(("pmc", "shadow_stack"), config)
+        assert matrix.runs == 4
+        assert len(compositions) == len(cases) == 2
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("sites", "oracle composed"),
+        ("digest", "ground truth comes from"),
+    ])
+    def test_tampered_truth_trips_the_harness(self, compositions,
+                                              monkeypatch, tamper,
+                                              message):
+        """A ground truth that does not match the executed trace — one
+        site short, or another trace's digest — fails the run."""
+        real = fuzz_harness.scenario_sites
+
+        def tampered(spec):
+            digest, sites = real(spec)
+            assert sites, "the armed campaign injected nothing"
+            if tamper == "sites":
+                return digest, sites[:-1]
+            return "0" * 64, sites
+
+        monkeypatch.setattr(fuzz_harness, "scenario_sites", tampered)
+        with pytest.raises(AssertionError, match=message):
+            run_small()
+
+    def test_untampered_small_corpus_passes(self, compositions):
+        matrix, _, _ = run_small()
+        assert matrix.runs == 1 and matrix.ok()
 
 
 _STABILITY_SCRIPT = """

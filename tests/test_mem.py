@@ -186,6 +186,30 @@ class TestHierarchy:
         r = h.access_data(0x40, 1)
         assert r.hit_level != "L1"
 
+    def test_snapshot_restore_replays_identically(self):
+        """A restored hierarchy answers exactly as the one snapshotted,
+        and runs after a restore never write into the snapshot (its
+        sets are shared until first written)."""
+        addrs = [0x1000 + 4096 * i + 64 * (i % 5) for i in range(300)]
+        warm = MemoryHierarchy()
+        for i, addr in enumerate(addrs[:150]):
+            warm.access_data(addr, i)
+            warm.access_instr(addr ^ 0x40, i)
+        snapshot = warm.snapshot()
+        frozen = repr(snapshot)
+
+        def replay(h):
+            return [(h.access_data(a, 200 + i), h.access_instr(a, 200 + i))
+                    for i, a in enumerate(addrs)]
+
+        expected = replay(warm)
+        for h in (MemoryHierarchy(), warm):
+            h.restore(snapshot)
+            assert replay(h) == expected
+        assert repr(snapshot) == frozen
+        warm.reset()
+        assert all(not warm.l1d.contains(a) for a in addrs)
+
     def test_default_params_match_table2(self):
         p = HierarchyParams()
         assert p.l1d.size_bytes == 32 * 1024 and p.l1d.ways == 8

@@ -156,6 +156,33 @@ class TestIndexAndCompaction:
         assert store.count() == 1
         assert store.get(key) == record
 
+    def test_corrupt_index_file_warns_once_and_scans(self, tmp_path):
+        """A damaged index.sqlite is retired on first use: count()
+        falls back to the directory scan, the failure is counted, and
+        exactly one StoreWarning names the operation and the error."""
+        store, record, key = self._stored(tmp_path)
+        store.put("3" * 64, record)
+        store._index_conn.close()
+        store.index_path.write_bytes(b"not a database" * 64)
+        for suffix in ("-wal", "-shm"):
+            store.index_path.with_name(
+                store.index_path.name + suffix).unlink(missing_ok=True)
+        fresh = ResultStore(store.root)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fresh.count() == 2
+            assert fresh.count() == 2
+            fresh.put("4" * 64, record)
+            assert fresh.reindex() == 3
+            assert fresh.count() == 3
+            assert fresh.get(key) == record
+        store_warnings = [w for w in caught
+                          if issubclass(w.category, StoreWarning)]
+        assert len(store_warnings) == 1
+        message = str(store_warnings[0].message)
+        assert "during open" in message and "DatabaseError" in message
+        assert fresh.index_failures == 1
+
     def test_gc_reclaims_dead_weight_keeps_live(self, tmp_path):
         """Satellite acceptance: gc() removes quarantined corpses,
         abandoned temp files and stale-schema entries; live
