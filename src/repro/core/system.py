@@ -9,10 +9,10 @@ The cycle loop lives in :class:`repro.sim.session.SimulationSession`
 (DESIGN.md: session layer): construction here is the expensive,
 build-once part (filter SRAM programming, kernel assembly, engine
 partitioning); the session executes traces — event-driven over
-:mod:`repro.sched` wakeups by default, dense behind
-``REPRO_DENSE_LOOP=1`` — and can ``reset()`` the built system so many
-traces run on one build.  ``run`` below is a convenience wrapper over
-a private session.
+:mod:`repro.sched` wakeups by default, dense with
+``SimulationSession(dense=True)`` — and can ``reset()`` the built
+system so many traces run on one build.  ``run`` below is a
+convenience wrapper over a private session.
 
 Engines are partitioned per kernel (the paper gives each kernel its
 own group of µcores or one HA); the mapper's distributor fans shared

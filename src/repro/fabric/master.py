@@ -34,7 +34,6 @@ dictionary-sized, never simulations, so the lock is never held long).
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -48,20 +47,14 @@ from repro.runner.spec import RunSpec
 from repro.service.serialization import record_to_dict, spec_from_dict
 from repro.service.store import ResultStore
 
-__all__ = [
-    "ENV_LEASE_TTL",
-    "ENV_MAX_RETRIES",
-    "FabricMaster",
-]
+__all__ = ["FabricMaster"]
 
 #: Seconds of heartbeat silence after which a worker is declared dead
 #: and its leases are re-queued.
-ENV_LEASE_TTL = "REPRO_FABRIC_LEASE_TTL"
 DEFAULT_LEASE_TTL = 30.0
 
 #: How many times a task may be *re*-leased after losing its worker
 #: before it is declared failed.
-ENV_MAX_RETRIES = "REPRO_FABRIC_MAX_RETRIES"
 DEFAULT_MAX_RETRIES = 2
 
 # Task states.  queued/leased are live; done/failed/cancelled are
@@ -122,11 +115,10 @@ class FabricMaster:
             self.store = ResultStore(store)
         else:
             self.store = store
-        self.lease_ttl = lease_ttl if lease_ttl is not None else float(
-            os.environ.get(ENV_LEASE_TTL, DEFAULT_LEASE_TTL))
-        self.max_retries = max_retries if max_retries is not None \
-            else int(os.environ.get(ENV_MAX_RETRIES,
-                                    DEFAULT_MAX_RETRIES))
+        self.lease_ttl = DEFAULT_LEASE_TTL if lease_ttl is None \
+            else lease_ttl
+        self.max_retries = DEFAULT_MAX_RETRIES if max_retries is None \
+            else max_retries
         self._tasks: dict[str, _Task] = {}
         self._queue: deque[str] = deque()
         self._workers: dict[str, _Worker] = {}
@@ -536,7 +528,5 @@ class FabricMaster:
             stats["store"] = {"root": str(self.store.root),
                               "entries": self.store.count(),
                               "hits": self.store.hits,
-                              "writes": self.store.writes,
-                              "index_failures":
-                                  self.store.index_failures}
+                              "writes": self.store.writes}
         return stats

@@ -15,7 +15,6 @@ exact key the client computed.
 from __future__ import annotations
 
 import concurrent.futures as futures
-import os
 import threading
 
 from repro.errors import FabricError, RunCancelled
@@ -23,7 +22,7 @@ from repro.fabric.protocol import PROTO_VERSION, Connection, parse_address
 from repro.runner.spec import RunSpec
 from repro.service.serialization import record_from_dict, spec_to_dict
 
-__all__ = ["ENV_FABRIC", "ENV_POLL_INTERVAL", "FabricExecutor"]
+__all__ = ["ENV_FABRIC", "FabricExecutor"]
 
 #: ``host:port`` of the fabric master; when set, every Client
 #: dispatches uncached specs to the fleet instead of a local backend.
@@ -31,22 +30,18 @@ ENV_FABRIC = "REPRO_FABRIC"
 
 #: Seconds between completion polls (the latency floor for streaming
 #: results back; submissions and cancels are immediate requests).
-ENV_POLL_INTERVAL = "REPRO_FABRIC_POLL"
 DEFAULT_POLL_INTERVAL = 0.05
 
 
 class FabricExecutor:
     """One client session against a fabric master."""
 
-    def __init__(self, address: str, poll_interval: float | None = None):
+    def __init__(self, address: str):
         self.address = address
         host, port = parse_address(address)
         self._conn = Connection.connect(host, port)
         self._conn.request({"type": "hello", "role": "client",
                             "proto": PROTO_VERSION})
-        self.poll_interval = poll_interval if poll_interval is not None \
-            else float(os.environ.get(ENV_POLL_INTERVAL,
-                                      DEFAULT_POLL_INTERVAL))
         self._watch: dict[str, futures.Future] = {}
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -158,7 +153,7 @@ class FabricExecutor:
                     future = self._watch.pop(key, None)
                 if future is not None and not future.done():
                     self._settle(future, status, key)
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(DEFAULT_POLL_INTERVAL)
 
     def _fail_all(self, exc: Exception) -> None:
         with self._lock:

@@ -34,10 +34,7 @@ from repro.runner.worker import ENV_STORE, execute_spec
 from repro.service.serialization import record_to_dict, spec_from_dict
 from repro.service.store import ENV_RESULT_STORE, ResultStore
 
-__all__ = ["ENV_DIE_AFTER_LEASES", "FabricWorker"]
-
-#: Fault-injection: hard-exit after accepting this many leases.
-ENV_DIE_AFTER_LEASES = "REPRO_FABRIC_DIE_AFTER_LEASES"
+__all__ = ["FabricWorker"]
 
 #: Idle backoff between lease requests when the queue is empty.
 _IDLE_SLEEP = 0.1
@@ -59,9 +56,6 @@ class FabricWorker:
                  die_after_leases: int | None = None):
         self.host, self.port = parse_address(address)
         self._store_arg = store
-        if die_after_leases is None:
-            env = os.environ.get(ENV_DIE_AFTER_LEASES)
-            die_after_leases = int(env) if env else None
         self.die_after_leases = die_after_leases
         self.worker_id: str | None = None
         self.leases_taken = 0

@@ -13,8 +13,9 @@ kernel assembly, engine construction) once per worker and resets the
 session between traces — the ARTIQ-style "initialise once, run the
 batch" idiom.  Everything here is deterministic, so cached and fresh
 executions are bit-identical — including across the session's two
-cycle-loop implementations (event-driven default, dense under
-``REPRO_DENSE_LOOP=1``; see repro.sched and DESIGN.md).
+cycle-loop implementations (event-driven by default, the dense
+reference with ``SimulationSession(dense=True)``; see repro.sched and
+DESIGN.md).
 
 Streamed specs (``RunSpec.stream``) spool their workload to disk as
 FGTRACE1 and simulate through a bounded-memory reader.  The spool is

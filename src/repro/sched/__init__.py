@@ -5,7 +5,7 @@ loop with timestamped wakeups over a cycle wheel: quiescent stretches
 — engines blocked on empty queues, an idle NoC, an empty CDC — are
 fast-forwarded instead of polled.  See DESIGN.md (sched layer) for the
 architecture and the bit-identity contract with the dense loop, which
-is kept available behind ``REPRO_DENSE_LOOP=1``.
+stays available as ``SimulationSession(dense=True)``.
 """
 
 from repro.sched.scheduler import EventScheduler, Wakeable

@@ -23,20 +23,17 @@ Concurrency and failure model:
   :data:`~repro.service.serialization.SCHEMA_VERSION` is left in place
   but reported as a miss; the subsequent ``put`` overwrites it with a
   current document.
-* **The index is advisory.**  ``index.sqlite`` in the store root
-  memoizes ``(key, schema, size)`` per entry so ``count()`` and the
-  fabric master's stats never have to glob a large directory; it is
-  maintained write-through by ``put``, rebuilt from the filesystem by
-  ``reindex()``, and every reader falls back to a directory scan if
-  SQLite is unavailable or the file is damaged — the JSON documents
-  remain the only ground truth.  A failing index is retired on first
-  failure: ``index_failures`` counts it and one :class:`StoreWarning`
-  names the operation and the exception.
+* **The directory is the whole state.**  There is no index or
+  manifest to keep in step: ``keys()`` and ``count()`` scan for
+  ``*.json``, so temporary files, ``quarantine/`` and any other file
+  in the root are never counted.  A scan of 10^4 entries costs tens
+  of milliseconds, and its only routine caller is the fabric master's
+  on-demand ``stats``.
 
 ``gc()`` is the compaction companion: it reclaims quarantined
 corpses, abandoned temporary files and (optionally) entries stamped
 with a stale schema version, leaving live current-schema records
-untouched, then rebuilds the index.
+untouched.
 """
 
 from __future__ import annotations
@@ -44,15 +41,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 import warnings
 from pathlib import Path
 from typing import Iterator
-
-try:
-    import sqlite3
-except ImportError:  # pragma: no cover - stdlib, but stay optional
-    sqlite3 = None  # type: ignore[assignment]
 
 from repro.errors import StoreError
 from repro.runner.spec import RunRecord
@@ -70,14 +61,9 @@ ENV_RESULT_STORE = "REPRO_RESULT_STORE"
 
 _QUARANTINE = "quarantine"
 
-#: SQLite index file kept next to the entries (shared by every
-#: process that opens the store; advisory — see module docstring).
-_INDEX_NAME = "index.sqlite"
-
 
 class StoreWarning(UserWarning):
-    """A store entry was unusable and has been quarantined, or the
-    advisory index failed and reads fell back to directory scans."""
+    """A store entry was unusable and has been quarantined."""
 
 
 class ResultStore:
@@ -94,13 +80,6 @@ class ResultStore:
         self.writes = 0
         self.quarantined = 0
         self.schema_misses = 0
-        self.index_failures = 0
-        self._index_conn = None
-        self._index_dead = sqlite3 is None
-        self._index_lock = threading.Lock()
-        # Separate from _index_lock, which the open path already holds
-        # when it fails.
-        self._failure_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> "ResultStore | None":
@@ -124,131 +103,10 @@ class ResultStore:
             # A racing reader quarantined it first; nothing to move.
             return
         self.quarantined += 1
-        self._index_drop(path.stem)
         warnings.warn(
             f"result store quarantined corrupted entry {path.name} "
             f"-> {target.relative_to(self.root)}: {reason}",
             StoreWarning, stacklevel=3)
-
-    # -- index -------------------------------------------------------------
-    @property
-    def index_path(self) -> Path:
-        return self.root / _INDEX_NAME
-
-    def _index_failed(self, operation: str, exc: Exception) -> None:
-        """Retire the advisory index after a failure: count it, warn
-        once, and let every later reader scan the directory.  A locked
-        or damaged index never blocks a filesystem write that already
-        landed."""
-        with self._failure_lock:
-            self.index_failures += 1
-            first = not self._index_dead
-            self._index_dead = True
-        if first:
-            warnings.warn(
-                f"result store index {self.index_path} failed during "
-                f"{operation} ({type(exc).__name__}: {exc}); falling "
-                f"back to directory scans", StoreWarning, stacklevel=3)
-
-    def _index(self):
-        """The shared SQLite index connection, or None when SQLite is
-        unavailable or the index file is unusable (the store then
-        falls back to directory scans — never an exception)."""
-        if self._index_dead:
-            return None
-        with self._index_lock:
-            if self._index_conn is not None:
-                return self._index_conn
-            try:
-                conn = sqlite3.connect(
-                    self.index_path, timeout=5.0,
-                    check_same_thread=False)
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS entries ("
-                    "  key    TEXT PRIMARY KEY,"
-                    "  schema INTEGER,"
-                    "  size   INTEGER NOT NULL)")
-                conn.commit()
-                empty = conn.execute(
-                    "SELECT 1 FROM entries LIMIT 1").fetchone() is None
-            except Exception as exc:
-                self._index_failed("open", exc)
-                return None
-            self._index_conn = conn
-        if empty and next(self.root.glob("*.json"), None) is not None:
-            # Pre-index store directory (or a rebuilt index file):
-            # adopt the existing entries so count() is right from the
-            # first call.
-            self.reindex()
-        return self._index_conn
-
-    def _index_put(self, key: str, schema: "int | None",
-                   size: int) -> None:
-        conn = self._index()
-        if conn is None:
-            return
-        try:
-            with self._index_lock:
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries (key, schema, size)"
-                    " VALUES (?, ?, ?)", (key, schema, size))
-                conn.commit()
-        except Exception as exc:
-            self._index_failed("put", exc)
-
-    def _index_drop(self, key: str) -> None:
-        conn = self._index()
-        if conn is None:
-            return
-        try:
-            with self._index_lock:
-                conn.execute("DELETE FROM entries WHERE key = ?",
-                             (key,))
-                conn.commit()
-        except Exception as exc:
-            self._index_failed("drop", exc)
-
-    def count(self) -> int:
-        """Number of entries, from the index when available (O(1) for
-        the fabric master's stats) with a directory-scan fallback."""
-        conn = self._index()
-        if conn is not None:
-            try:
-                with self._index_lock:
-                    row = conn.execute(
-                        "SELECT COUNT(*) FROM entries").fetchone()
-                return int(row[0])
-            except Exception as exc:
-                self._index_failed("count", exc)
-        return sum(1 for _ in self.keys())
-
-    def reindex(self) -> int:
-        """Rebuild the index from the filesystem (the ground truth);
-        returns the number of entries indexed.  Safe to call on a
-        store that predates the index or whose index drifted."""
-        rows = []
-        for path in self.root.glob("*.json"):
-            try:
-                data = path.read_bytes()
-                schema = json.loads(data).get("schema")
-                if not isinstance(schema, int):
-                    schema = None
-            except Exception:
-                data, schema = b"", None
-            rows.append((path.stem, schema, len(data)))
-        conn = self._index()
-        if conn is not None:
-            try:
-                with self._index_lock:
-                    conn.execute("DELETE FROM entries")
-                    conn.executemany(
-                        "INSERT OR REPLACE INTO entries "
-                        "(key, schema, size) VALUES (?, ?, ?)", rows)
-                    conn.commit()
-            except Exception as exc:
-                self._index_failed("reindex", exc)
-        return len(rows)
 
     # -- compaction --------------------------------------------------------
     def gc(self, keep_latest_schema: bool = True) -> dict:
@@ -259,8 +117,7 @@ class ResultStore:
         ``keep_latest_schema`` — entries stamped with a schema version
         other than the current one (they are dead weight: every read
         already treats them as misses).  Live current-schema records
-        are never touched.  Rebuilds the index afterwards and returns
-        a summary dict.
+        are never touched.  Returns a summary dict.
         """
         removed_quarantined = removed_tmp = 0
         removed_stale_schema = removed_corrupt = 0
@@ -318,7 +175,6 @@ class ResultStore:
                 removed_stale_schema += 1
             reclaimed += size
 
-        self.reindex()
         return {
             "kept": kept,
             "removed_quarantined": removed_quarantined,
@@ -361,7 +217,6 @@ class ResultStore:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
         self.writes += 1
-        self._index_put(key, SCHEMA_VERSION, len(payload))
         return path
 
     def __contains__(self, key: str) -> bool:
@@ -371,14 +226,10 @@ class ResultStore:
         for path in self.root.glob("*.json"):
             yield path.stem
 
-    def __len__(self) -> int:
+    def count(self) -> int:
+        """Number of entries: one scan of the store directory."""
         return sum(1 for _ in self.keys())
 
-    def __bool__(self) -> bool:
-        # An empty store is still a store: never let ``len == 0``
-        # disable read-through/write-back via truthiness.
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultStore({str(self.root)!r}, entries={len(self)}, "
+        return (f"ResultStore({str(self.root)!r}, entries={self.count()}, "
                 f"hits={self.hits}, misses={self.misses})")

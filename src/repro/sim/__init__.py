@@ -11,7 +11,7 @@ execute many traces with results bit-identical to fresh builds.
 The cycle loop itself is event-driven (:mod:`repro.sched`): a
 cycle-wheel scheduler per clock domain replaces per-cycle polling with
 timestamped wakeups, bit-identical to the dense reference loop kept
-behind ``REPRO_DENSE_LOOP=1``.
+behind ``SimulationSession(dense=True)``.
 
 The runner's worker (:mod:`repro.runner.worker`) keeps one session
 per distinct system configuration per worker process.

@@ -25,11 +25,10 @@ The session adds three things the monolithic loop could not offer:
   stretches are fast-forwarded in whole slow-cycle strides.  Results
   are bit-identical to the dense loop (every :class:`SystemResult`
   field, asserted by the A/B grid tests in ``tests/test_sched.py``);
-* **the dense loop**, kept behind ``REPRO_DENSE_LOOP=1`` (or
-  ``SimulationSession(system, dense=True)``) as the reference
-  implementation for those A/B comparisons.  Its conservative
-  per-cycle ``can_skip()`` idle-skip is unchanged from when it was the
-  only loop.
+* **the dense loop**, selected by ``SimulationSession(system,
+  dense=True)`` and kept as the reference implementation for those
+  A/B comparisons.  Its conservative per-cycle ``can_skip()``
+  idle-skip is unchanged from when it was the only loop.
 
 Both loops execute records one at a time through the flat
 :mod:`repro.hotpath` kernels (the µcore ISS tick and the OoO core
@@ -72,15 +71,13 @@ class SimulationSession(Instrumented):
     guarantee (``reset() + run(trace)`` must equal a fresh build's
     ``run(trace)`` bit for bit).
 
-    ``dense`` selects the reference dense loop over the event-driven
-    scheduler; None reads ``REPRO_DENSE_LOOP`` (``"1"`` means dense,
-    ``"0"`` means event).  With neither the argument nor the variable
-    set, the session is *adaptive*: each ``run()`` picks the loop that
-    measures faster for the built engine mix — the dense sweep for
-    small all-µcore pools (few busy engines make the wakeup
-    bookkeeping cost more than dense's direct poll), the event loop
-    everywhere else — so no configuration is slower than the dense
-    reference.  The loops are bit-identical, so the choice is
+    ``dense=True`` selects the reference dense loop and
+    ``dense=False`` the event-driven scheduler.  With ``dense=None``
+    (the default) the session is *adaptive*: each ``run()`` picks the
+    loop from the built engine mix — the dense sweep for small
+    all-µcore pools (few busy engines make the wakeup bookkeeping
+    cost more than dense's direct poll), the event loop everywhere
+    else.  The loops are bit-identical, so the choice is
     invisible in results.
     A system should be driven by one session (the canonical path is
     :meth:`FireGuardSystem.session`): the event scheduler wires wakeup
@@ -100,15 +97,8 @@ class SimulationSession(Instrumented):
     def __init__(self, system: "FireGuardSystem",
                  dense: bool | None = None):
         self.system = system
-        env = os.environ.get("REPRO_DENSE_LOOP")
-        if dense is None:
-            # Neither the caller nor the environment chose a loop:
-            # adaptive mode picks per run() from the engine mix (the
-            # loops are bit-identical, so the choice is pure policy).
-            self._adaptive = env is None
-            dense = env == "1"
-        else:
-            self._adaptive = False
+        # None is adaptive: run() picks from the engine mix (the loops
+        # are bit-identical, so the choice is pure policy).
         self.dense = dense
         #: Per-component wall-clock seconds, populated only under
         #: ``REPRO_PROFILE=1`` (see :meth:`stats`).
@@ -307,9 +297,9 @@ class SimulationSession(Instrumented):
         ``trace`` is any trace source implementing the record protocol
         (in-memory :class:`~repro.trace.record.Trace` or on-disk
         :class:`~repro.trace.stream.StreamedTrace`): both the
-        event-driven and the dense ``REPRO_DENSE_LOOP`` path consume
-        it through the core's bounded-memory view, so streamed and
-        materialised runs are bit-identical.  ``prepared`` is the
+        event-driven and the dense loop consume it through the core's
+        bounded-memory view, so streamed and materialised runs are
+        bit-identical.  ``prepared`` is the
         trace's :class:`~repro.ooo.core.PreparedTrace` when the caller
         keeps one (the core builds it otherwise; the result is the
         same).
@@ -331,7 +321,8 @@ class SimulationSession(Instrumented):
         clock = DualDomainClock(system.config.high_domain(),
                                 system.config.low_domain())
 
-        if self.dense or (self._adaptive and self._prefer_dense()):
+        dense = self._prefer_dense() if self.dense is None else self.dense
+        if dense:
             high_cycle = self._loop_dense(trace, clock, max_cycles)
         else:
             try:
@@ -370,7 +361,7 @@ class SimulationSession(Instrumented):
     def _loop_dense(self, trace: Trace, clock: DualDomainClock,
                     max_cycles: int) -> int:
         """Tick every component every cycle (the pre-scheduler loop,
-        kept for A/B bit-identity testing behind REPRO_DENSE_LOOP=1)."""
+        kept for A/B bit-identity testing behind ``dense=True``)."""
         system = self.system
         core = system.core
         high_cycle = 0

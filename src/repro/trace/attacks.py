@@ -217,8 +217,10 @@ def _synthesize_frees(trace: Trace, needed: int, min_seq: int) -> None:
     records = trace.records
     size = 256
     # Fresh addresses past the workload's heap: the planted objects are
-    # never touched by legitimate accesses.
-    next_base = ((trace.heap_end + 0xFFF) & ~0xFFF) + 0x10000
+    # never touched by legitimate accesses.  Objects an earlier call
+    # planted already sit past ``heap_end``, so start past them too.
+    top = max((obj.end for obj in trace.objects), default=trace.heap_end)
+    next_base = ((max(trace.heap_end, top) + 0xFFF) & ~0xFFF) + 0x10000
 
     alloc_word = encode_instr("custom0.f0", rs1=10, rs2=11)
     free_word = encode_instr("custom0.f1", rs1=10)

@@ -251,12 +251,6 @@ class TestEventDenseIdentity:
         session.reset()
         assert session.run(trace) == first
 
-    def test_env_var_selects_dense_loop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_LOOP", "1")
-        assert SimulationSession(_build(("pmc",))).dense
-        monkeypatch.delenv("REPRO_DENSE_LOOP")
-        assert not SimulationSession(_build(("pmc",))).dense
-
     def test_event_loop_actually_skips(self):
         session = SimulationSession(
             _build(("asan",), engines_per_kernel={"asan": 12}),

@@ -1,8 +1,12 @@
 """The persistent ResultStore: atomicity, robustness, warm hits."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,12 @@ from repro.errors import StoreError
 from repro.runner import RunSpec
 from repro.runner import worker as runner_worker
 from repro.service import SCHEMA_VERSION, Client, ResultStore, StoreWarning
+from repro.service.serialization import dumps_record
 from test_service_serialization import rich_record
 
 LEN = 1500
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_specs():
@@ -31,7 +38,7 @@ class TestBasics:
         assert key in store
         assert store.get(key) == record
         assert list(store.keys()) == [key]
-        assert len(store) == 1
+        assert store.count() == 1
 
     def test_illegal_keys_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -125,63 +132,70 @@ class TestRobustness:
                 if p.name.startswith(".tmp-")] == []
 
 
+class TestDirectoryIsTheState:
+    """The ``<key>.json`` documents are the store's only state: no
+    side file is written, and counting is one directory scan."""
+
+    def test_root_holds_only_entry_documents(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        record = rich_record()
+        keys = [record.spec.cache_key()] + [str(d) * 64 for d in range(3)]
+        for key in keys:
+            store.put(key, record)
+        assert sorted(p.name for p in store.root.iterdir()) == \
+            sorted(f"{key}.json" for key in keys)
+
+    def test_count_is_the_json_documents_in_the_root(self, tmp_path):
+        """count() sees every entry however it arrived (here one is
+        copied in beside the store's own writes) and ignores abandoned
+        temp files, quarantine/ and a stray index file that an older
+        store version left in the root."""
+        store = ResultStore(tmp_path / "store")
+        record = rich_record()
+        key = record.spec.cache_key()
+        store.put(key, record)
+        store.put("5" * 64, record)
+        copied = "6" * 64
+        store.path_for(copied).write_bytes(dumps_record(record, key=copied))
+        (store.root / ".tmp-999-0-dead").write_bytes(b"partial")
+        (store.root / "quarantine").mkdir()
+        (store.root / "quarantine" / f"{'7' * 64}.json.1.corrupt") \
+            .write_bytes(b"\x00garbage")
+        for name in ("index.sqlite", "index.sqlite-wal",
+                     "index.sqlite-shm"):
+            (store.root / name).write_bytes(b"not a document")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.count() == 3
+            fresh = ResultStore(store.root)
+            assert fresh.count() == 3
+            assert fresh.get(copied) == record
+        assert sorted(fresh.keys()) == sorted([key, "5" * 64, copied])
+
+    def test_import_does_not_load_sqlite3(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.service.store; "
+             "print('sqlite3' in sys.modules)"],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=120, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestIndexAndCompaction:
+    """``gc()`` compaction (the class name predates the directory-only
+    store and is kept so these test ids stay stable)."""
+
     def _stored(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         record = rich_record()
         key = record.spec.cache_key()
         store.put(key, record)
         return store, record, key
-
-    def test_count_uses_write_through_index(self, tmp_path):
-        store, record, key = self._stored(tmp_path)
-        assert store.index_path.exists()
-        assert store.count() == 1
-        # A second opener of the same directory shares the index.
-        assert ResultStore(store.root).count() == 1
-
-    def test_missing_index_rebuilt_from_filesystem(self, tmp_path):
-        """A store populated before the index existed (or whose index
-        file was deleted) adopts its entries on first open — the JSON
-        documents are the ground truth."""
-        store, record, key = self._stored(tmp_path)
-        store.index_path.unlink()
-        fresh = ResultStore(store.root)
-        assert fresh.count() == 1
-        assert fresh.reindex() == 1
-
-    def test_count_degrades_to_directory_scan(self, tmp_path):
-        store, record, key = self._stored(tmp_path)
-        store._index_dead = True  # simulate an unusable index file
-        assert store.count() == 1
-        assert store.get(key) == record
-
-    def test_corrupt_index_file_warns_once_and_scans(self, tmp_path):
-        """A damaged index.sqlite is retired on first use: count()
-        falls back to the directory scan, the failure is counted, and
-        exactly one StoreWarning names the operation and the error."""
-        store, record, key = self._stored(tmp_path)
-        store.put("3" * 64, record)
-        store._index_conn.close()
-        store.index_path.write_bytes(b"not a database" * 64)
-        for suffix in ("-wal", "-shm"):
-            store.index_path.with_name(
-                store.index_path.name + suffix).unlink(missing_ok=True)
-        fresh = ResultStore(store.root)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert fresh.count() == 2
-            assert fresh.count() == 2
-            fresh.put("4" * 64, record)
-            assert fresh.reindex() == 3
-            assert fresh.count() == 3
-            assert fresh.get(key) == record
-        store_warnings = [w for w in caught
-                          if issubclass(w.category, StoreWarning)]
-        assert len(store_warnings) == 1
-        message = str(store_warnings[0].message)
-        assert "during open" in message and "DatabaseError" in message
-        assert fresh.index_failures == 1
 
     def test_gc_reclaims_dead_weight_keeps_live(self, tmp_path):
         """Satellite acceptance: gc() removes quarantined corpses,
@@ -210,7 +224,7 @@ class TestIndexAndCompaction:
         assert summary["reclaimed_bytes"] > 0
         assert not (store.root / "quarantine").exists()
         assert not store.path_for(stale_key).exists()
-        # The live record survived, and the rebuilt index agrees.
+        # The live record survived and is all that is counted.
         assert store.get(key) == record
         assert store.count() == 1
 
@@ -236,7 +250,7 @@ class TestCrossProcessWarmHit:
         with Client(workers=2, store=store_dir, cache=False) as cold:
             first = cold.run(specs)
             assert cold.stats.executed == len(specs)
-        assert len(ResultStore(store_dir)) == len(specs)
+        assert ResultStore(store_dir).count() == len(specs)
 
         runner_worker.clear_caches()  # no per-process reuse either
         with Client(workers=2, store=store_dir, cache=False) as warm:

@@ -5,7 +5,7 @@ scenario to disk and simulating it through the bounded-memory reader
 must produce exactly the results of the in-memory path — detection
 latencies, every SystemResult field, and the final component state.
 The grid covers {2 scenarios} x {2 kernels} x {streamed, in-memory},
-plus a dense-loop cell (``REPRO_DENSE_LOOP`` path) and the
+plus a dense-loop cell (``SimulationSession(dense=True)``) and the
 cross-seed / cross-worker digest determinism checks.
 """
 
@@ -98,7 +98,7 @@ def test_streamed_matches_in_memory(scenario, kernel, tmp_path):
 
 
 def test_dense_loop_accepts_streamed_trace(tmp_path):
-    """The REPRO_DENSE_LOOP reference path consumes the same streamed
+    """The dense reference loop consumes the same streamed
     source, bit-identically to the event-driven loop on the in-memory
     trace."""
     scenario = GRID_SCENARIOS[0]
